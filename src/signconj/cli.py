@@ -73,13 +73,14 @@ def _matrix_from_rows(raw_rows) -> Matrix:
 def parse_matrix_document(text: str, fmt: str) -> Matrix:
     """Parse CSV or JSON matrix text into an exact Matrix."""
     if fmt == "csv":
-        lines = [line.strip() for line in text.splitlines()]
+        # tokens keep their padding: as_scalar accepts ASCII whitespace only,
+        # as it does for JSON string entries
         rows = [
-            [tok.strip() for tok in line.split(",")]
-            for line in lines
-            if line and not line.startswith("#")
+            line.split(",")
+            for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")
         ]
-        return _matrix_from_rows([[tok for tok in row] for row in rows])
+        return _matrix_from_rows(rows)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

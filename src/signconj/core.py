@@ -25,11 +25,18 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 
+# ASCII digits only: Fraction() alone would also take "1_000" and
+# full-width or other Unicode digits.
+_SCALAR_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational.
 
-    Floats are rejected: accepting them would silently launder rounding
-    error into a library whose whole point is exactness.
+    Strings must be an ASCII integer or p/q, optionally signed and padded
+    with whitespace.  Floats and decimals are rejected: accepting them would
+    silently launder rounding error into a library whose whole point is
+    exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -38,10 +45,11 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "." in text or "e" in text.lower():
-            raise ValueError(f"scalar {value!r} must be an integer or 'p/q', not a decimal")
-        return Fraction(text)
+        match = _SCALAR_TEXT.fullmatch(value)
+        if match is None:
+            raise ValueError(f"scalar {value!r} must be an ASCII integer or 'p/q'")
+        num, den = match.groups()
+        return Fraction(int(num), int(den) if den is not None else 1)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 

@@ -186,6 +186,91 @@ def _perm_ryser_int(rows: Sequence[Sequence[int]]) -> int:
     return total if n % 2 == 0 else -total
 
 
+def _perm_poly_ryser_int(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending coefficients of perm(N - y*I) for an integer matrix N.
+
+    Ryser's formula applied to N - y*I: for a column subset T with row
+    sums r_i, row i of N - y*I sums to r_i - y when i is in T and to r_i
+    otherwise, so the term is prod_{i not in T} r_i * prod_{i in T} (r_i - y).
+    One Gray-code walk over T gives the whole polynomial in O(2^n * n^2).
+    """
+    n = len(rows)
+    if n == 0:
+        return [1]
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    sums = [0] * n
+    total = [0] * (n + 1)
+    gray = 0
+    sign = 1
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        bit = 1 << j
+        gray ^= bit
+        col = cols[j]
+        if gray & bit:
+            for i in range(n):
+                sums[i] += col[i]
+        else:
+            for i in range(n):
+                sums[i] -= col[i]
+        sign = -sign
+        # a zero row sum outside T zeroes the term; rows in T contribute
+        # r_i - y, which is never the zero polynomial
+        outside = 1
+        inside = []
+        for i, s in enumerate(sums):
+            if gray >> i & 1:
+                inside.append(s)
+            elif not s:
+                outside = 0
+                break
+            else:
+                outside *= s
+        if not outside:
+            continue
+        poly = [1]
+        for r in inside:
+            poly.append(0)
+            for p in range(len(poly) - 1, 0, -1):
+                poly[p] = r * poly[p] - poly[p - 1]
+            poly[0] *= r
+        if sign < 0:
+            outside = -outside
+        for p, c in enumerate(poly):
+            total[p] += outside * c
+    return total if n % 2 == 0 else [-c for c in total]
+
+
+def _rank_bareiss_int(rows: list[list[int]], cols: int) -> int:
+    """Rank of an integer matrix by fraction-free elimination.
+
+    Columns without a pivot are skipped; every update only reads the pivot
+    columns and its own column, so each division is an exact Bareiss step.
+    """
+    m = [row[:] for row in rows]
+    n = len(m)
+    r = 0
+    prev = 1
+    for col in range(cols):
+        pivot = next((i for i in range(r, n) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        row_r = m[r]
+        pivot_val = row_r[col]
+        for i in range(r + 1, n):
+            row_i = m[i]
+            lead = row_i[col]
+            for j in range(col + 1, cols):
+                row_i[j] = (row_i[j] * pivot_val - lead * row_r[j]) // prev
+            row_i[col] = 0
+        prev = pivot_val
+        r += 1
+        if r == n:
+            break
+    return r
+
+
 def _char_poly_int(rows: list[list[int]]) -> list[int]:
     """Ascending coefficients of det(x*I - N) for an integer matrix N.
 
@@ -237,23 +322,9 @@ def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
 
 
 def rank(a: Matrix) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
-    rows = [list(row) for row in a.entries]
-    r = 0
-    for col in range(a.cols):
-        pivot = next((i for i in range(r, a.rows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        for i in range(r + 1, a.rows):
-            if rows[i][col]:
-                factor = rows[i][col] / lead
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == a.rows:
-            break
-    return r
+    """Rank over the rationals by fraction-free elimination on the cleared matrix."""
+    rows, _ = _clear_denominators(a)
+    return _rank_bareiss_int(rows, a.cols)
 
 
 def _validated_index_set(a: Matrix, indices: Iterable[int]) -> tuple[int, ...]:
@@ -338,16 +409,15 @@ def char_poly(a: Matrix) -> Polynomial:
 def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
     """Permanental polynomial perm(A - x*I), ascending coefficients.
 
-    Assembled from the order-k principal permanent sums; there is no
-    known polynomial-time route, so total cost grows as 3^n and `cap`
-    keeps it at desk scale.
+    One polynomial-valued Ryser pass over the denominator-cleared matrix
+    N = den*A, costing O(2^n * n^2); `cap` is a size guard.  With
+    y = den*x, perm(A - x*I) = perm(N - y*I) / den^n, so coefficient k is
+    c_k * den^k / den^n.
     """
     a.require_square("permanental polynomial")
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"permanental polynomial of a {n}x{n} matrix exceeds cap {cap}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        sign = -1 if (n - k) % 2 else 1
-        coeffs[n - k] = sign * sum_principal_permanents(a, k, cap=max(n, DEFAULT_MINOR_SUM_CAP))
-    return Polynomial(coeffs)
+    rows, den = _clear_denominators(a)
+    coeffs = _perm_poly_ryser_int(rows)
+    return Polynomial(Fraction(coeffs[k] * den**k, den**n) for k in range(n + 1))

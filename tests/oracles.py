@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
-from signconj import Matrix, Polynomial, SignVector
+from signconj import Matrix, Polynomial, SignVector, sum_principal_permanents
 
 
 def naive_permanent(a: Matrix) -> Fraction:
@@ -24,6 +25,45 @@ def naive_permanent(a: Matrix) -> Fraction:
             prod *= a.entries[i][j]
         total += prod
     return total
+
+
+def expansion_permanent(a: Matrix) -> Fraction:
+    """Permanent by first-row expansion, memoized on the set of columns
+    still free; 2^n states, so fine for n <= 12."""
+    n = a.rows
+
+    @cache
+    def rest(free: int) -> Fraction:
+        i = n - bin(free).count("1")
+        if i == n:
+            return Fraction(1)
+        return sum(
+            (
+                a.entries[i][j] * rest(free & ~(1 << j))
+                for j in range(n)
+                if free >> j & 1 and a.entries[i][j]
+            ),
+            Fraction(0),
+        )
+
+    return rest((1 << n) - 1)
+
+
+def gaussian_rank(a: Matrix) -> int:
+    """Rank by Fraction Gaussian elimination."""
+    rows = [list(row) for row in a.entries]
+    r = 0
+    for col in range(a.cols):
+        pivot = next((i for i in range(r, a.rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, a.rows):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[r][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def cofactor_determinant(a: Matrix) -> Fraction:
@@ -60,9 +100,12 @@ def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Polynomial:
     return result
 
 
-def perm_poly_by_interpolation(a: Matrix) -> Polynomial:
-    """Evaluate perm(A - x*I) at n+1 small integers via the naive
-    permanent, then interpolate."""
+def perm_poly_by_interpolation(a: Matrix, permanent=naive_permanent) -> Polynomial:
+    """Evaluate perm(A - x*I) at n+1 small integers, then interpolate.
+
+    `permanent` evaluates each point; the n! permutation sum by default,
+    `expansion_permanent` where n! is too slow.
+    """
     n = a.rows
     points = []
     for x in range(n + 1):
@@ -73,8 +116,17 @@ def perm_poly_by_interpolation(a: Matrix) -> Polynomial:
             ],
             cols=n,
         )
-        points.append((Fraction(x), naive_permanent(shifted)))
+        points.append((Fraction(x), permanent(shifted)))
     return lagrange_interpolate(points)
+
+
+def perm_poly_by_principal_sums(a: Matrix) -> Polynomial:
+    """perm(A - x*I) from the coefficient law: the x^(n-k) coefficient is
+    (-1)^(n-k) times the sum of the order-k principal permanents (3^n)."""
+    n = a.rows
+    return Polynomial(
+        (-1) ** k * sum_principal_permanents(a, n - k, cap=n) for k in range(n + 1)
+    )
 
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

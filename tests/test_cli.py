@@ -257,6 +257,17 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("entry", ["1_000", "\uff11\uff12", "\u00a02"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_ascii_integer_entry_exit_2(self, capsys, tmp_path, entry, fmt):
+        text = f"1,{entry}\n3,4\n" if fmt == "csv" else json.dumps([[1, entry], [3, 4]])
+        path = write_matrix(tmp_path, f"m.{fmt}", text)
+        code, out, err = run_cli(capsys, "invariants", "--matrix", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_bad_threads_exit_2(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.csv", "0,0\n0,0\n")
         code, _, err = run_cli(capsys, "orbit", "--matrix", path, "--threads", "0")

@@ -62,6 +62,21 @@ class TestScalar:
         x = as_scalar("4/6")
         assert (x.numerator, x.denominator) == (2, 3)
 
+    def test_sign_and_whitespace(self):
+        assert as_scalar(" +7/2\t") == Fraction(7, 2)
+        assert as_scalar("\n-0 ") == 0
+
+    @pytest.mark.parametrize(
+        "text", ["1_000", "\uff11\uff12", "\u0663", "1/2_0", "", "/2", "1/", "1/ 2", "- 3", "0x10", "1/-2"]
+    )
+    def test_rejects_all_but_ascii_integer_or_ratio(self, text):
+        with pytest.raises(ValueError):
+            as_scalar(text)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            as_scalar("1/0")
+
 
 class TestMatrix:
     def test_shape_and_entries(self):

@@ -28,11 +28,22 @@ from signconj import (
 )
 from oracles import (
     cofactor_determinant,
+    expansion_permanent,
+    gaussian_rank,
     naive_permanent,
     perm_poly_by_interpolation,
+    perm_poly_by_principal_sums,
     random_matrix,
     random_sign_vector,
+    random_sparse_matrix,
 )
+
+
+def _sympy_matrix(a: Matrix):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(
+        a.rows, a.cols, [sympy.Rational(e.numerator, e.denominator) for row in a.entries for e in row]
+    )
 
 
 class TestPolynomial:
@@ -135,6 +146,33 @@ class TestRank:
             a = random_matrix(rng, n)
             for c in admissible_sign_vectors(n):
                 assert rank(sign_conjugate(a, c)) == rank(a)
+
+    @staticmethod
+    def _rank_corpus():
+        rng = random.Random(313)
+        corpus = [Matrix.zero(3), Matrix.zero(2, 5), Matrix([], cols=0), Matrix([[0, 0, 7]])]
+        for n, m in ((1, 1), (3, 3), (5, 5), (6, 6), (2, 5), (5, 2), (4, 7), (7, 3)):
+            full = random_matrix(rng, n, m)
+            corpus.append(full)
+            # rank deficient: the last row repeats a combination of the first two
+            if n >= 3:
+                r0, r1 = full.entries[0], full.entries[1]
+                k = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                last = tuple(x + k * y for x, y in zip(r0, r1))
+                corpus.append(Matrix(full.entries[:-1] + (last,), cols=m))
+            # a zero first column makes the elimination skip a column
+            corpus.append(
+                Matrix([(0,) + row[1:] for row in random_sparse_matrix(rng, max(n, m)).entries])
+            )
+        return corpus
+
+    def test_matches_gaussian_oracle(self):
+        for a in self._rank_corpus():
+            assert rank(a) == gaussian_rank(a)
+
+    def test_matches_sympy(self):
+        for a in self._rank_corpus():
+            assert rank(a) == _sympy_matrix(a).rank()
 
 
 class TestPrincipalMinors:
@@ -256,6 +294,87 @@ class TestPermPoly:
     def test_cap(self):
         with pytest.raises(SizeCapExceededError):
             perm_poly(Matrix.identity(4), cap=3)
+
+    @pytest.mark.parametrize("kind", ["rational", "integer", "sparse"])
+    def test_matches_principal_sums_and_interpolation(self, kind):
+        rng = random.Random(f"perm_poly-{kind}")
+        for n in range(1, 10):
+            if kind == "sparse":
+                a = random_sparse_matrix(rng, n)
+            else:
+                a = random_matrix(rng, n, integer=(kind == "integer"))
+            expected = perm_poly_by_principal_sums(a)
+            assert perm_poly(a) == expected
+            assert perm_poly_by_interpolation(a, permanent=expansion_permanent) == expected
+
+    def test_zero_and_identity(self):
+        for n in range(1, 8):
+            # every term but T = all columns has a zero row sum outside T
+            assert perm_poly(Matrix.zero(n)) == Polynomial([0] * n + [(-1) ** n])
+            # perm((1 - x)I) = (1 - x)^n
+            expected = Polynomial([1])
+            for _ in range(n):
+                expected = expected * Polynomial([1, -1])
+            assert perm_poly(Matrix.identity(n)) == expected
+
+    def test_zero_rows_and_columns(self):
+        # zero row i: row i of A - x*I is -x*e_i, so perm(A - x*I) = -x * perm
+        # of the minor without row and column i; zero column i likewise.
+        # Rows with zero sums sit both inside and outside the column subsets.
+        rng = random.Random(4242)
+        for n in range(2, 8):
+            for axis in ("row", "column"):
+                base = random_matrix(rng, n, integer=(n > 5))
+                i = rng.randrange(n)
+                a = Matrix(
+                    [
+                        [0 if (r == i if axis == "row" else c == i) else base.entries[r][c]
+                         for c in range(n)]
+                        for r in range(n)
+                    ]
+                )
+                minor = Matrix(
+                    [[a.entries[r][c] for c in range(n) if c != i] for r in range(n) if r != i],
+                    cols=n - 1,
+                )
+                assert perm_poly(a) == Polynomial([0, -1]) * perm_poly(minor)
+                assert perm_poly(a) == perm_poly_by_principal_sums(a)
+
+    def test_matches_sympy_per(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1212)
+        for n in range(1, 7):
+            for a in (random_matrix(rng, n), random_sparse_matrix(rng, n, density=0.5)):
+                p = perm_poly(a)
+                m = _sympy_matrix(a)
+                for k in range(n + 1):
+                    per = (m - k * sympy.eye(n)).per()
+                    assert p(k) == Fraction(int(per.p), int(per.q))
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_perm_poly_matches_oracles(rows):
+    a = Matrix(rows)
+    expected = perm_poly_by_principal_sums(a)
+    assert perm_poly(a) == expected
+    assert perm_poly_by_interpolation(a, permanent=expansion_permanent) == expected
+
+
+def test_expansion_permanent_matches_naive_oracle():
+    rng = random.Random(2020)
+    for n in range(0, 7):
+        for a in (random_matrix(rng, n), random_sparse_matrix(rng, n)):
+            assert expansion_permanent(a) == naive_permanent(a)
 
 
 @settings(max_examples=40, deadline=None)
