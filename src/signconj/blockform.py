@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Matrix, Permutation, SignVector, sign_conjugate
-from .errors import NotSignAntisymmetricError, NotSignSymmetricError
+from .errors import InternalConsistencyError, NotSignAntisymmetricError, NotSignSymmetricError
 from .invariants import Polynomial, char_poly, determinant, permanent
 
 
@@ -136,7 +136,7 @@ def sym_block_form(a: Matrix, c: SignVector) -> SymBlockForm:
     minus_block = _pick(a, part.minus_indices, part.minus_indices)
     conjugated = _conjugate_by_permutation(a, perm)
     if conjugated != assemble_diag(plus_block, minus_block):
-        raise AssertionError("permutation conjugate disagrees with block assembly")
+        raise InternalConsistencyError("permutation conjugate disagrees with block assembly")
     return SymBlockForm(part, perm, plus_block, minus_block, conjugated)
 
 
@@ -151,7 +151,7 @@ def antisym_block_form(a: Matrix, c: SignVector) -> AntisymBlockForm:
     assembled = assemble_antidiag(upper, lower)
     conjugated = _conjugate_by_permutation(a, perm)
     if conjugated != assembled:
-        raise AssertionError("permutation conjugate disagrees with block assembly")
+        raise InternalConsistencyError("permutation conjugate disagrees with block assembly")
     return AntisymBlockForm(part, perm, upper, lower, assembled, conjugated)
 
 
@@ -181,7 +181,7 @@ def factor_invariants_antisym(a: Matrix, c: SignVector) -> AntisymFactorReport:
     perm_full = permanent(a)
     if r != s:
         if det_full != 0 or perm_full != 0:
-            raise AssertionError("unbalanced anti-diagonal form must have det = perm = 0")
+            raise InternalConsistencyError("unbalanced anti-diagonal form must have det = perm = 0")
         return AntisymFactorReport(r, s, det_full, perm_full, None, None, None)
     sign = -1 if r % 2 else 1
     det_blocks = sign * determinant(form.upper_block) * determinant(form.lower_block)

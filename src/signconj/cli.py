@@ -5,7 +5,8 @@ verify.  Matrices come from CSV (one row per line, entries integer or
 p/q) or a JSON document {"n": ..., "entries": [[...]]}; reports go to
 stdout as deterministic JSON with every rational rendered exactly as
 "p/q" (bare integer when the denominator is 1).  Exit codes: 0 success,
-1 a check failed, 2 input or usage error.
+1 a check failed, 2 input or usage error, 3 an internal inconsistency
+(two routes inside the library disagree).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import blockform, decomposition, group, invariants, orbit
 from .core import Matrix, SignVector, as_scalar, parse_sign_vector, sign_conjugate
-from .errors import MatrixParseError, SignConjError
+from .errors import InternalConsistencyError, MatrixParseError, SignConjError
 from .invariants import (
     DEFAULT_PERM_POLY_CAP,
     DEFAULT_PERMANENT_CAP,
@@ -138,7 +139,7 @@ def _inputs_block(args, a: Matrix | None) -> dict:
             "sha256": _matrix_digest(a),
         }
     for key in ("signs", "classic", "n", "samples", "seed", "perm_cap", "permpoly_cap",
-                "orbit_cap", "threads"):
+                "orbit_cap"):
         if hasattr(args, key) and getattr(args, key) is not None:
             inputs[key.replace("_", "-")] = getattr(args, key)
     return inputs
@@ -301,7 +302,7 @@ def _cmd_blockform(args) -> int:
 def _cmd_orbit(args) -> int:
     a = load_matrix(args.matrix, args.format)
     labeling = orbit.graph_components(a)
-    rep = orbit.orbit_size(a, cap=args.orbit_cap, threads=args.threads)
+    rep = orbit.orbit_size(a, cap=args.orbit_cap)
     results: dict = {
         "component_labels": list(labeling.labels),
         "component_count": labeling.count,
@@ -340,7 +341,6 @@ def _cmd_verify(args) -> int:
         perm_cap=args.perm_cap,
         permpoly_cap=args.permpoly_cap,
         orbit_cap=args.orbit_cap,
-        threads=args.threads,
     )
     report = {
         "command": "verify",
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_options(p)
     p.add_argument("--orbit-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="largest n for explicit orbit enumeration")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("cayley", help="composition table of the sign-conjugation group")
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_matrix_options(p)
     add_cap_options(p)
     p.add_argument("--orbit-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--samples", type=int, default=None,
                    help="number of random sign vectors (default: all of them when n <= 8)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sign vectors")
@@ -420,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be a positive integer", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
+    except InternalConsistencyError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 3
     except (SignConjError, MatrixParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -287,12 +287,13 @@ def sign_conjugate(a: Matrix, c: SignVector) -> Matrix:
     """Entrywise sign conjugation: result[i][j] = c_i * a[i][j] * c_j.
 
     Fixes the diagonal, is an involution, and equals conjugation by the
-    signature matrix diag(c).
+    signature matrix diag(c).  The product of two signs is +1 exactly when
+    they agree, so each entry is kept or negated without multiplying.
     """
     _check_conformable(a, c)
     return Matrix(
         (
-            tuple(ci * e * cj for e, cj in zip(row, c.signs))
+            tuple(e if ci == cj else -e for e, cj in zip(row, c.signs))
             for row, ci in zip(a.entries, c.signs)
         ),
         cols=a.cols,

@@ -51,3 +51,8 @@ class NotSignAntisymmetricError(SignConjError, ValueError):
 
 class MatrixParseError(SignConjError, ValueError):
     """A matrix file or document could not be parsed into exact rationals."""
+
+
+class InternalConsistencyError(SignConjError):
+    """Two independent routes inside the library disagree: a defect in the
+    library, not in its input, and never reported as a failed check."""

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .core import Matrix, ScalarLike, as_scalar
 from .errors import (
     IndexOutOfRangeError,
+    InternalConsistencyError,
     OrderOutOfRangeError,
     SizeCapExceededError,
 )
@@ -289,7 +290,7 @@ def _char_poly_int(rows: list[list[int]]) -> list[int]:
         ]
         tr = sum(nk[i][i] for i in range(n))
         if tr % k:
-            raise AssertionError("inexact division in characteristic recursion")
+            raise InternalConsistencyError("inexact division in characteristic recursion")
         c = -(tr // k)
         coeffs[n - k] = c
         if k < n:

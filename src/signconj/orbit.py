@@ -5,15 +5,21 @@ Vertices i and j are adjacent when a_ij or a_ji is nonzero (i != j);
 diagonal entries never create edges.  With t components there are
 2^(n-t) distinct conjugates and 2^(t-1) sign vectors that fix the
 matrix, and the two counts multiply to 2^(n-1).
+
+A conjugate depends only on the products c_i*c_j over the edges: the
+diagonal is fixed and zero entries stay zero.  Each sign vector is
+therefore keyed by an int, the set of edges where c_i*c_j = -1, and two
+vectors give the same conjugate exactly when their keys are equal.  The
+census walks all 2^(n-1) keys and builds only the 2^(n-t) distinct
+conjugates; the stabilizer's brute-force side is the set of key 0.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import Matrix, SignVector, admissible_sign_vectors, sign_conjugate
-from .errors import SizeCapExceededError
+from .errors import InternalConsistencyError, SizeCapExceededError
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -72,30 +78,45 @@ def graph_components(a: Matrix) -> ComponentLabeling:
     return ComponentLabeling(tuple(labels), len(ids))
 
 
-def _enumerate_distinct(a: Matrix, threads: int) -> tuple[Matrix, ...]:
-    vectors = list(admissible_sign_vectors(a.rows))
-    if threads > 1:
-        chunk = -(-len(vectors) // threads)
-        parts = [vectors[i : i + chunk] for i in range(0, len(vectors), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            images = pool.map(lambda cs: [sign_conjugate(a, c) for c in cs], parts)
-        conjugates = [m for batch in images for m in batch]
-    else:
-        conjugates = [sign_conjugate(a, c) for c in vectors]
-    # first-occurrence order over the lexicographic vector order is
-    # deterministic regardless of how the chunks were scheduled
-    seen: set[Matrix] = set()
+def _edge_masks(a: Matrix) -> list[int]:
+    """masks[v] has bit e set when the e-th nonzero off-diagonal pair
+    {i, j} (i < j, row-major) touches vertex v."""
+    n = a.rows
+    masks = [0] * n
+    bit = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a.entries[i][j] or a.entries[j][i]:
+                masks[i] |= bit
+                masks[j] |= bit
+                bit <<= 1
+    return masks
+
+
+def _edge_sign_key(masks: list[int], c: SignVector) -> int:
+    """Bit e is set when c_i*c_j = -1 on edge e: XOR over the -1 vertices."""
+    key = 0
+    for mask, s in zip(masks, c.signs):
+        if s < 0:
+            key ^= mask
+    return key
+
+
+def _enumerate_distinct(a: Matrix) -> tuple[Matrix, ...]:
+    """Distinct conjugates in first-occurrence order over the lexicographic
+    vector order; one conjugate is built per new key."""
+    masks = _edge_masks(a)
+    seen: set[int] = set()
     distinct = []
-    for m in conjugates:
-        if m not in seen:
-            seen.add(m)
-            distinct.append(m)
+    for c in admissible_sign_vectors(a.rows):
+        key = _edge_sign_key(masks, c)
+        if key not in seen:
+            seen.add(key)
+            distinct.append(sign_conjugate(a, c))
     return tuple(distinct)
 
 
-def orbit_size(
-    a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1
-) -> OrbitReport:
+def orbit_size(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitReport:
     """Orbit and stabilizer sizes from the component count; for n within
     `cap` the orbit is also enumerated and the predicted size checked."""
     a.require_square("orbit census")
@@ -105,9 +126,9 @@ def orbit_size(
     stabilizer = 1 << (t - 1)
     enumerated = None
     if n <= cap:
-        enumerated = _enumerate_distinct(a, threads)
+        enumerated = _enumerate_distinct(a)
         if len(enumerated) != predicted:
-            raise AssertionError(
+            raise InternalConsistencyError(
                 f"enumerated {len(enumerated)} distinct conjugates, component count predicts {predicted}"
             )
     return OrbitReport(t, predicted, stabilizer, enumerated)
@@ -119,7 +140,8 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
     Built constructively: a fixing vector must be constant on every
     connected component, the component of vertex 1 is pinned to +1, and
     each remaining component flips freely.  The construction is
-    cross-checked against brute force over all admissible vectors.
+    cross-checked against brute force over all admissible vectors: a
+    vector fixes the matrix exactly when its edge-sign key is 0.
     """
     a.require_square("stabilizer")
     n = a.rows
@@ -134,7 +156,8 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
         }
         chosen[labeling.labels[0]] = 1
         found.append(SignVector(chosen[cid] for cid in labeling.labels))
-    brute = {c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a}
+    masks = _edge_masks(a)
+    brute = {c for c in admissible_sign_vectors(n) if _edge_sign_key(masks, c) == 0}
     if set(found) != brute:
-        raise AssertionError("constructive stabilizer disagrees with brute force")
+        raise InternalConsistencyError("constructive stabilizer disagrees with brute force")
     return tuple(sorted(found, key=lambda c: c.signs, reverse=True))

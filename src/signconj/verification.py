@@ -134,7 +134,6 @@ def verify_matrix(
     perm_cap: int = DEFAULT_PERMANENT_CAP,
     permpoly_cap: int = DEFAULT_PERM_POLY_CAP,
     orbit_cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> VerificationReport:
     """Run the full battery of identity checks against one square matrix."""
     a.require_square("verification")
@@ -294,7 +293,7 @@ def verify_matrix(
 
     t = graph_components(a).count
     if n <= orbit_cap:
-        report = orbit_size(a, cap=orbit_cap, threads=threads)
+        report = orbit_size(a, cap=orbit_cap)
         check("orbit_matches_component_count").record(
             len(report.enumerated), 1 << (n - t)
         )

@@ -12,7 +12,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
-from signconj import Matrix, Polynomial, SignVector, sum_principal_permanents
+from signconj import (
+    Matrix,
+    Polynomial,
+    SignVector,
+    admissible_sign_vectors,
+    sign_conjugate,
+    sum_principal_permanents,
+)
 
 
 def naive_permanent(a: Matrix) -> Fraction:
@@ -127,6 +134,17 @@ def perm_poly_by_principal_sums(a: Matrix) -> Polynomial:
     return Polynomial(
         (-1) ** k * sum_principal_permanents(a, n - k, cap=n) for k in range(n + 1)
     )
+
+
+def orbit_by_matrices(a: Matrix) -> tuple[Matrix, ...]:
+    """Distinct conjugates by hashing the conjugate of every admissible
+    vector, in first-occurrence order over the lexicographic vector order."""
+    return tuple(dict.fromkeys(sign_conjugate(a, c) for c in admissible_sign_vectors(a.rows)))
+
+
+def stabilizer_by_matrices(a: Matrix) -> set[SignVector]:
+    """Every admissible vector whose conjugate equals the matrix itself."""
+    return {c for c in admissible_sign_vectors(a.rows) if sign_conjugate(a, c) == a}
 
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from signconj import Matrix
+from signconj import ComponentLabeling, Matrix, orbit
 from signconj.cli import load_matrix, main, parse_matrix_document
+from oracles import orbit_by_matrices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
 
@@ -192,6 +193,28 @@ class TestOrbit:
         assert len(results["enumerated_orbit"]) == 2
         assert results["stabilizer"] == ["1,1,1", "1,1,-1"]
 
+    def test_enumerated_order_matches_oracle(self, capsys, tmp_path):
+        # two components, {1,3,5} and {2,4,6}; one-sided and negative rational entries
+        rows = [
+            ["1/2", "0", "-3", "0", "0", "0"],
+            ["0", "0", "0", "2/5", "0", "-1"],
+            ["0", "0", "-7/3", "0", "4", "0"],
+            ["0", "0", "0", "0", "0", "0"],
+            ["5/6", "0", "0", "0", "0", "0"],
+            ["0", "-9/2", "0", "1", "0", "2"],
+        ]
+        path = write_matrix(tmp_path, "m.csv", "\n".join(",".join(r) for r in rows) + "\n")
+        code, out, _ = run_cli(capsys, "orbit", "--matrix", path)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["component_count"] == 2
+        expected = [
+            [[str(e) for e in row] for row in m.entries]
+            for m in orbit_by_matrices(Matrix(rows))
+        ]
+        assert len(expected) == 16
+        assert results["enumerated_orbit"] == expected
+
     def test_above_cap_skips_enumeration(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.csv", "0,0\n0,0\n")
         code, out, _ = run_cli(capsys, "orbit", "--matrix", path, "--orbit-cap", "1")
@@ -268,8 +291,17 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_bad_threads_exit_2(self, capsys, tmp_path):
-        path = write_matrix(tmp_path, "m.csv", "0,0\n0,0\n")
-        code, _, err = run_cli(capsys, "orbit", "--matrix", path, "--threads", "0")
-        assert code == 2
-        assert "threads" in err
+    def test_internal_inconsistency_exit_3(self, capsys, tmp_path, monkeypatch):
+        real = orbit.graph_components
+
+        def one_component_short(a):
+            labeling = real(a)
+            return ComponentLabeling(labeling.labels, labeling.count - 1)
+
+        monkeypatch.setattr(orbit, "graph_components", one_component_short)
+        path = write_matrix(tmp_path, "m.csv", "0,1,0\n1,0,0\n0,0,5\n")
+        code, out, err = run_cli(capsys, "orbit", "--matrix", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal inconsistency: ")
+        assert "Traceback" not in err

@@ -205,6 +205,12 @@ class TestSignConjugation:
         assert sign_conjugate(a, c) == expected
         assert conjugate_by_signature(a, c) == expected
 
+        a = Matrix([["-1/2", 0, "3/4"], [0, "-5/3", "-2/7"], ["-9/4", "1/6", 0]])
+        c = parse_sign_vector("1,-1,1")
+        expected = Matrix([["-1/2", 0, "3/4"], [0, "-5/3", "2/7"], ["-9/4", "-1/6", 0]])
+        assert sign_conjugate(a, c) == expected
+        assert conjugate_by_signature(a, c) == expected
+
     @given(matrix_and_signs_st())
     def test_entrywise_equals_product_route(self, data):
         rows, signs = data

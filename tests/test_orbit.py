@@ -20,7 +20,7 @@ from signconj import (
     stabilizer_elements,
     trace,
 )
-from oracles import random_sparse_matrix
+from oracles import orbit_by_matrices, random_sparse_matrix, stabilizer_by_matrices
 
 EDGE_PLUS_LOOP = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
 
@@ -81,12 +81,6 @@ class TestOrbitSize:
         assert report.enumerated is None
         assert report.orbit_size == 1
 
-    def test_threads_give_same_orbit(self):
-        rng = random.Random(32)
-        for _ in range(10):
-            a = random_sparse_matrix(rng, rng.randint(1, 6))
-            assert orbit_size(a).enumerated == orbit_size(a, threads=3).enumerated
-
     def test_orbit_members_share_invariants(self):
         rng = random.Random(33)
         for _ in range(10):
@@ -146,3 +140,28 @@ class TestCountingLaws:
             assert len(distinct) == 2 ** (n - t)
             assert len(fixing) == 2 ** (t - 1)
             assert fixing == set(stabilizer_elements(a))
+
+
+class TestAgainstMatrixHashing:
+    """The edge-sign-key census against hashing every conjugate matrix."""
+
+    CASES = [
+        Matrix([[0, 0, 0], [5, 0, 0], [0, 0, 0]]),
+        Matrix([[0, "-3/2", 0, 0], [0, 0, 0, 0], [0, 0, 4, 0], [0, "7/5", 0, 0]]),
+        Matrix.zero(5),
+        Matrix.diagonal((3, "-1/2", 0, 7)),
+    ]
+
+    def assert_agrees(self, a):
+        assert orbit_size(a).enumerated == orbit_by_matrices(a)
+        assert set(stabilizer_elements(a)) == stabilizer_by_matrices(a)
+
+    def test_seeded_sparse(self):
+        rng = random.Random(37)
+        for n in range(1, 10):
+            for density in (0.15, 0.4, 0.9):
+                self.assert_agrees(random_sparse_matrix(rng, n, density=density))
+
+    @pytest.mark.parametrize("a", CASES, ids=["one_sided", "one_sided_rational", "zero", "diagonal"])
+    def test_special_patterns(self, a):
+        self.assert_agrees(a)
