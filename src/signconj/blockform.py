@@ -116,10 +116,10 @@ def assemble_antidiag(f: Matrix, g: Matrix) -> Matrix:
     return Matrix(rows, cols=r + s)
 
 
-def _conjugate_by_permutation(a: Matrix, p: Permutation) -> Matrix:
-    pm = p.matrix()
-    # permutation matrices are orthogonal, so the inverse is the transpose
-    return pm.transpose() @ a @ pm
+def _gather(a: Matrix, c: SignVector) -> tuple[IndexPartition, Permutation, Matrix]:
+    """Partition, P and P^-1*A*P: the rows and columns of A in plus ++ minus order."""
+    perm = block_permutation(c)
+    return index_partition(c), perm, _pick(a, perm.images, perm.images)
 
 
 def sym_block_form(a: Matrix, c: SignVector) -> SymBlockForm:
@@ -130,13 +130,11 @@ def sym_block_form(a: Matrix, c: SignVector) -> SymBlockForm:
     """
     if sign_conjugate(a, c) != a:
         raise NotSignSymmetricError("matrix is not fixed by this sign conjugation")
-    part = index_partition(c)
-    perm = block_permutation(c)
+    part, perm, conjugated = _gather(a, c)
     plus_block = _pick(a, part.plus_indices, part.plus_indices)
     minus_block = _pick(a, part.minus_indices, part.minus_indices)
-    conjugated = _conjugate_by_permutation(a, perm)
     if conjugated != assemble_diag(plus_block, minus_block):
-        raise InternalConsistencyError("permutation conjugate disagrees with block assembly")
+        raise InternalConsistencyError("gathered conjugate disagrees with block assembly")
     return SymBlockForm(part, perm, plus_block, minus_block, conjugated)
 
 
@@ -144,14 +142,12 @@ def antisym_block_form(a: Matrix, c: SignVector) -> AntisymBlockForm:
     """Block anti-diagonal form of a matrix the conjugation negates."""
     if sign_conjugate(a, c) != -a:
         raise NotSignAntisymmetricError("matrix is not negated by this sign conjugation")
-    part = index_partition(c)
-    perm = block_permutation(c)
+    part, perm, conjugated = _gather(a, c)
     upper = _pick(a, part.plus_indices, part.minus_indices)
     lower = _pick(a, part.minus_indices, part.plus_indices)
     assembled = assemble_antidiag(upper, lower)
-    conjugated = _conjugate_by_permutation(a, perm)
     if conjugated != assembled:
-        raise InternalConsistencyError("permutation conjugate disagrees with block assembly")
+        raise InternalConsistencyError("gathered conjugate disagrees with block assembly")
     return AntisymBlockForm(part, perm, upper, lower, assembled, conjugated)
 
 

@@ -84,7 +84,8 @@ def parse_matrix_document(text: str, fmt: str) -> Matrix:
         return _matrix_from_rows(rows)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also integer literals over the int digit limit, and deep nesting
         raise MatrixParseError(f"invalid JSON: {exc}") from None
     if isinstance(doc, list):
         return _matrix_from_rows(doc)
@@ -111,8 +112,8 @@ def load_matrix(path: str, fmt: str | None) -> Matrix:
                 f"cannot infer format from {file.name!r}; pass --format csv|json"
             )
     try:
-        text = file.read_text()
-    except OSError as exc:
+        text = file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from None
     return parse_matrix_document(text, fmt)
 

@@ -38,6 +38,7 @@ from .decomposition import (
     subspace_dims,
     sym_part,
 )
+from .errors import RangeError
 from .group import compose
 from .invariants import (
     DEFAULT_PERM_POLY_CAP,
@@ -115,17 +116,6 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _choose_vectors(n: int, samples: int | None, seed: int) -> list[SignVector]:
-    if samples is None and n <= EXHAUSTIVE_MAX_N:
-        return list(admissible_sign_vectors(n))
-    count = samples if samples is not None else 16
-    rng = random.Random(seed)
-    return [
-        SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])
-        for _ in range(max(1, count))
-    ]
-
-
 def verify_matrix(
     a: Matrix,
     *,
@@ -137,8 +127,19 @@ def verify_matrix(
 ) -> VerificationReport:
     """Run the full battery of identity checks against one square matrix."""
     a.require_square("verification")
+    if samples is not None and samples < 1:
+        raise RangeError(f"samples must be at least 1, got {samples}")
     n = a.rows
-    vectors = _choose_vectors(n, samples, seed)
+    exhaustive = samples is None and n <= EXHAUSTIVE_MAX_N
+    if exhaustive:
+        vectors = list(admissible_sign_vectors(n))
+    else:
+        rng = random.Random(seed)
+        vectors = [
+            SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])
+            for _ in range(samples or 16)
+        ]
+    fixing: list[SignVector] = []  # exhaustive mode: every vector whose conjugate is `a`
     skipped: list[tuple[str, str]] = []
 
     do_perm = n <= perm_cap
@@ -181,6 +182,8 @@ def verify_matrix(
     for idx, c in enumerate(vectors):
         label = f"c={c}"
         conj = sign_conjugate(a, c)
+        if exhaustive and conj == a:
+            fixing.append(c)
 
         check("entrywise_matches_signature_product").record(
             conj, conjugate_by_signature(a, c), label
@@ -298,7 +301,11 @@ def verify_matrix(
             len(report.enumerated), 1 << (n - t)
         )
         stab = stabilizer_elements(a, cap=orbit_cap)
-        check("stabilizer_matches_brute_force").record(len(stab), 1 << (t - 1))
+        if not exhaustive:
+            fixing = [c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a]
+        stab_check = check("stabilizer_matches_brute_force")
+        stab_check.record(len(stab), 1 << (t - 1))
+        stab_check.record(stab, tuple(sorted(fixing, key=lambda c: c.signs, reverse=True)))
         check("orbit_times_stabilizer").record(
             report.orbit_size * report.stabilizer_size, 1 << (n - 1)
         )

@@ -14,6 +14,7 @@ from itertools import permutations
 
 from signconj import (
     Matrix,
+    Permutation,
     Polynomial,
     SignVector,
     admissible_sign_vectors,
@@ -145,6 +146,12 @@ def orbit_by_matrices(a: Matrix) -> tuple[Matrix, ...]:
 def stabilizer_by_matrices(a: Matrix) -> set[SignVector]:
     """Every admissible vector whose conjugate equals the matrix itself."""
     return {c for c in admissible_sign_vectors(a.rows) if sign_conjugate(a, c) == a}
+
+
+def conjugate_by_permutation_matrix(a: Matrix, p: Permutation) -> Matrix:
+    """P^T * A * P with P = p.matrix(); P is orthogonal, so this is P^-1 * A * P."""
+    pm = p.matrix()
+    return pm.transpose() @ a @ pm
 
 
 def random_scalar(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

@@ -19,6 +19,7 @@ from signconj import (
     antisym_block_form,
     antisym_part,
     assemble_diag,
+    block_permutation,
     cayley_table,
     char_poly,
     classic_minor2_additivity,
@@ -54,6 +55,7 @@ from signconj.cli import main as cli_main
 from signconj.decomposition import Symmetry
 from oracles import (
     cofactor_determinant,
+    conjugate_by_permutation_matrix,
     naive_permanent,
     perm_poly_by_interpolation,
     random_matrix,
@@ -292,6 +294,8 @@ def test_criterion_08_block_forms():
             form = sym_block_form(a, c)
             if form.conjugated != assemble_diag(form.plus_block, form.minus_block):
                 failures.append(("sym similarity", n, c))
+            if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
+                failures.append(("sym permutation-matrix similarity", n, c))
             rep = factor_invariants_sym(a, c)
             if rep.char_full != rep.char_product:
                 failures.append(("char factorization", n, c))
@@ -303,6 +307,8 @@ def test_criterion_08_block_forms():
             form = antisym_block_form(a, c)
             if form.conjugated != form.assembled:
                 failures.append(("antisym similarity", n, c))
+            if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
+                failures.append(("antisym permutation-matrix similarity", n, c))
             rep = factor_invariants_antisym(a, c)
             if rep.det_blocks_signed is None:
                 if rep.det_full != 0 or rep.perm_full != 0:

@@ -24,7 +24,7 @@ from signconj import (
     sym_block_form,
     sym_part,
 )
-from oracles import random_matrix, random_sign_vector
+from oracles import conjugate_by_permutation_matrix, random_matrix, random_sign_vector
 
 
 class TestIndexPartition:
@@ -133,6 +133,28 @@ class TestAntisymBlockForm:
             form = antisym_block_form(a, c)
             assert form.conjugated == form.assembled
             assert form.assembled == assemble_antidiag(form.upper_block, form.lower_block)
+
+
+class TestAgainstPermutationMatrix:
+    """The gathered conjugate against the dense product P^T * A * P."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fixed_inputs(self, n):
+        rng = random.Random(260 + n)
+        for _ in range(12):
+            c = random_sign_vector(rng, n)
+            a = sym_part(random_matrix(rng, n), c)
+            form = sym_block_form(a, c)
+            assert form.conjugated == conjugate_by_permutation_matrix(a, block_permutation(c))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_negated_inputs(self, n):
+        rng = random.Random(270 + n)
+        for _ in range(12):
+            c = random_sign_vector(rng, n)
+            a = antisym_part(random_matrix(rng, n), c)
+            form = antisym_block_form(a, c)
+            assert form.conjugated == conjugate_by_permutation_matrix(a, block_permutation(c))
 
 
 class TestSymFactorizations:

@@ -1,6 +1,7 @@
 """Command-line interface: formats, reports, determinism, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,33 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_json_integer_over_digit_limit_exit_2(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "m.json", "[[" + "7" * 5000 + ", 1], [2, 3]]")
+        code, out, err = run_cli(capsys, "invariants", "--matrix", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("name", ["m.csv", "m.json"])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"1,2\n3,\xff\n")
+        code, out, err = run_cli(capsys, "invariants", "--matrix", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, tmp_path, samples):
+        path = write_matrix(tmp_path, "m.csv", "1,2\n3,4\n")
+        code, out, err = run_cli(capsys, "verify", "--matrix", path, "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: samples must be at least 1")
 
     def test_internal_inconsistency_exit_3(self, capsys, tmp_path, monkeypatch):
         real = orbit.graph_components

@@ -1,0 +1,44 @@
+"""CLI reports compared byte for byte with committed golden files.
+
+Each golden file is the stdout of `signconj.cli.main` with
+`inputs.matrix.path` replaced by the input's file name, since the full
+path depends on where the repository is checked out.  Reports are part
+of the interface, so a change to how a result is computed must leave
+these bytes as they are.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from signconj.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
+
+CASES = {
+    "verify_verify6": (0, ["verify", "--matrix", FIXTURES / "verify6.json"]),
+    "blockform_corrupted_sym": (
+        1,
+        ["blockform", "--matrix", FIXTURES / "corrupted_sym.json", "--signs", "1,1,-1,-1"],
+    ),
+    "blockform_sym4": (0, ["blockform", "--matrix", GOLDEN / "sym4.json", "--signs", "1,-1,1,-1"]),
+    "blockform_antisym4": (
+        0,
+        ["blockform", "--matrix", GOLDEN / "antisym4.json", "--signs", "1,-1,-1,1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_matches_golden(capsys, name):
+    expected_code, argv = CASES[name]
+    code = main([str(arg) for arg in argv])
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert json.loads(out)["inputs"]["matrix"]["path"] == str(argv[2])
+    path_line = f'"path": {json.dumps(str(argv[2]))},'
+    assert out.count(path_line) == 1
+    fixed = out.replace(path_line, f'"path": {json.dumps(argv[2].name)},')
+    assert fixed == (GOLDEN / f"{name}.out.json").read_text()

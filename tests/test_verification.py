@@ -2,9 +2,14 @@
 
 import random
 
-from signconj import Matrix, verify_matrix
+import pytest
+
+from signconj import Matrix, RangeError, parse_sign_vector, verify_matrix, verification
 from signconj.verification import CheckOutcome, format_value
 from oracles import random_matrix
+
+# two components, {1, 2} and {3}: the stabilizer is {(1,1,1), (1,1,-1)}
+EDGE_PLUS_LOOP = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
 
 
 class TestCheckOutcome:
@@ -113,3 +118,51 @@ class TestVerifyMatrix:
         report = verify_matrix(Matrix([[1, 2], [3, 4]]))
         notes = {c.name: c.note for c in report.checks}
         assert "(-1)^(n/2)" in notes["antisym_part_factorizations"]
+
+
+class TestSamples:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_below_one_rejected(self, samples):
+        with pytest.raises(RangeError):
+            verify_matrix(Matrix([[1, 2], [3, 4]]), samples=samples)
+
+    def test_one_sample_accepted(self):
+        report = verify_matrix(Matrix.zero(4), samples=1, seed=3)
+        assert report.passed
+
+
+class TestStabilizerBruteForce:
+    """`stabilizer_matches_brute_force` compares the constructive
+    stabilizer with a search over every admissible vector."""
+
+    def outcome(self, report):
+        return next(c for c in report.checks if c.name == "stabilizer_matches_brute_force")
+
+    @pytest.mark.parametrize("samples", [None, 2])
+    def test_passes_and_reports_counts(self, samples):
+        out = self.outcome(verify_matrix(EDGE_PLUS_LOOP, samples=samples))
+        assert out.passed
+        assert (out.lhs, out.rhs) == ("2", "2")
+
+    @pytest.mark.parametrize("samples", [None, 2])
+    def test_fails_when_a_vector_is_dropped(self, monkeypatch, samples):
+        real = verification.stabilizer_elements
+        monkeypatch.setattr(
+            verification, "stabilizer_elements", lambda a, cap: real(a, cap=cap)[:-1]
+        )
+        report = verify_matrix(EDGE_PLUS_LOOP, samples=samples)
+        assert not self.outcome(report).passed
+        assert not report.passed
+
+    @pytest.mark.parametrize("samples", [None, 2])
+    def test_fails_when_a_vector_is_swapped(self, monkeypatch, samples):
+        # same count, wrong member: only the element comparison catches it
+        real = verification.stabilizer_elements
+        wrong = parse_sign_vector("1,-1,1")
+        monkeypatch.setattr(
+            verification, "stabilizer_elements", lambda a, cap: real(a, cap=cap)[:-1] + (wrong,)
+        )
+        out = self.outcome(verify_matrix(EDGE_PLUS_LOOP, samples=samples))
+        assert not out.passed
+        assert out.lhs == "(1,1,1, 1,-1,1)"
+        assert out.rhs == "(1,1,1, 1,1,-1)"
