@@ -143,13 +143,16 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
     with a brute-force search over all admissible vectors.
     """
     a.require_square("stabilizer")
-    if a.rows > cap:
-        raise SizeCapExceededError(f"stabilizer enumeration for n={a.rows} exceeds cap {cap}")
+    n = a.rows
+    if n > cap:
+        raise SizeCapExceededError(f"stabilizer enumeration for n={n} exceeds cap {cap}")
     labeling = graph_components(a)
     free_ids = sorted(set(labeling.labels) - {labeling.labels[0]})
     found = []
     for mask in range(1 << len(free_ids)):
-        chosen = {cid: -1 if (mask >> k) & 1 else 1 for k, cid in enumerate(free_ids)}
+        chosen = {
+            cid: -1 if (mask >> k) & 1 else 1 for k, cid in enumerate(free_ids)
+        }
         chosen[labeling.labels[0]] = 1
         found.append(SignVector(chosen[cid] for cid in labeling.labels))
     return tuple(sorted(found, key=lambda c: c.signs, reverse=True))

@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from .blockform import (
     antisym_block_form,
-    assemble_antidiag,
-    assemble_diag,
     factor_invariants_antisym,
     factor_invariants_sym,
     sym_block_form,
 )
 from .core import (
     Matrix,
+    Permutation,
     SignVector,
     admissible_sign_vectors,
     conjugate_by_signature,
@@ -116,6 +115,24 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _choose_vectors(n: int, samples: int | None, seed: int) -> list[SignVector]:
+    if samples is None and n <= EXHAUSTIVE_MAX_N:
+        return list(admissible_sign_vectors(n))
+    count = samples if samples is not None else 16
+    rng = random.Random(seed)
+    return [
+        SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])
+        for _ in range(count)
+    ]
+
+
+def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
+    """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of the
+    index gather blockform checks against its block assembly before returning."""
+    ids = range(1, len(p) + 1)
+    return Matrix([[a.entries[p(i) - 1][p(j) - 1] for j in ids] for i in ids])
+
+
 def verify_matrix(
     a: Matrix,
     *,
@@ -130,16 +147,7 @@ def verify_matrix(
     if samples is not None and samples < 1:
         raise RangeError(f"samples must be at least 1, got {samples}")
     n = a.rows
-    exhaustive = samples is None and n <= EXHAUSTIVE_MAX_N
-    if exhaustive:
-        vectors = list(admissible_sign_vectors(n))
-    else:
-        rng = random.Random(seed)
-        vectors = [
-            SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])
-            for _ in range(samples or 16)
-        ]
-    fixing: list[SignVector] = []  # exhaustive mode: every vector whose conjugate is `a`
+    vectors = _choose_vectors(n, samples, seed)
     skipped: list[tuple[str, str]] = []
 
     do_perm = n <= perm_cap
@@ -182,8 +190,6 @@ def verify_matrix(
     for idx, c in enumerate(vectors):
         label = f"c={c}"
         conj = sign_conjugate(a, c)
-        if exhaustive and conj == a:
-            fixing.append(c)
 
         check("entrywise_matches_signature_product").record(
             conj, conjugate_by_signature(a, c), label
@@ -250,15 +256,11 @@ def verify_matrix(
 
         sym_form = sym_block_form(fixed, c)
         check("sym_part_block_similarity").record(
-            sym_form.conjugated,
-            assemble_diag(sym_form.plus_block, sym_form.minus_block),
-            label,
+            sym_form.conjugated, _gather_by_permutation(fixed, sym_form.permutation), label
         )
         anti_form = antisym_block_form(negated, c)
         check("antisym_part_block_similarity").record(
-            anti_form.conjugated,
-            assemble_antidiag(anti_form.upper_block, anti_form.lower_block),
-            label,
+            anti_form.conjugated, _gather_by_permutation(negated, anti_form.permutation), label
         )
         if do_permpoly:
             rep = factor_invariants_sym(fixed, c)
@@ -301,11 +303,9 @@ def verify_matrix(
             len(report.enumerated), 1 << (n - t)
         )
         stab = stabilizer_elements(a, cap=orbit_cap)
-        if not exhaustive:
-            fixing = [c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a]
-        stab_check = check("stabilizer_matches_brute_force")
-        stab_check.record(len(stab), 1 << (t - 1))
-        stab_check.record(stab, tuple(sorted(fixing, key=lambda c: c.signs, reverse=True)))
+        brute = tuple(c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a)
+        check("stabilizer_matches_brute_force").record(len(stab), 1 << (t - 1))
+        check("stabilizer_matches_brute_force").record(stab, brute)  # both +1-first order
         check("orbit_times_stabilizer").record(
             report.orbit_size * report.stabilizer_size, 1 << (n - 1)
         )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from signconj import Matrix, RangeError, parse_sign_vector, verify_matrix, verification
+from signconj import Matrix, RangeError, blockform, parse_sign_vector, verify_matrix, verification
 from signconj.verification import CheckOutcome, format_value
 from oracles import random_matrix
 
@@ -138,11 +138,19 @@ class TestStabilizerBruteForce:
     def outcome(self, report):
         return next(c for c in report.checks if c.name == "stabilizer_matches_brute_force")
 
-    @pytest.mark.parametrize("samples", [None, 2])
-    def test_passes_and_reports_counts(self, samples):
-        out = self.outcome(verify_matrix(EDGE_PLUS_LOOP, samples=samples))
+    @pytest.mark.parametrize(
+        "a, samples, count",
+        [
+            (EDGE_PLUS_LOOP, None, "2"),
+            (EDGE_PLUS_LOOP, 2, "2"),
+            # five components: all 16 admissible vectors fix it, in the same order
+            (Matrix.diagonal([1, 2, 3, 4, 5]), 2, "16"),
+        ],
+    )
+    def test_passes_and_reports_counts(self, a, samples, count):
+        out = self.outcome(verify_matrix(a, samples=samples))
         assert out.passed
-        assert (out.lhs, out.rhs) == ("2", "2")
+        assert (out.lhs, out.rhs) == (count, count)
 
     @pytest.mark.parametrize("samples", [None, 2])
     def test_fails_when_a_vector_is_dropped(self, monkeypatch, samples):
@@ -166,3 +174,16 @@ class TestStabilizerBruteForce:
         assert not out.passed
         assert out.lhs == "(1,1,1, 1,-1,1)"
         assert out.rhs == "(1,1,1, 1,1,-1)"
+
+
+class TestBlockSimilarity:
+    """The block-similarity checks read P^-1*A*P through the permutation
+    itself, so a gather fault that also corrupts the blocks consistently
+    (and so passes blockform's own gate) still fails them."""
+
+    def test_fail_when_gather_negates(self, monkeypatch):
+        real = blockform._pick
+        monkeypatch.setattr(blockform, "_pick", lambda a, rows, cols: -real(a, rows, cols))
+        report = verify_matrix(Matrix([[1, 2, 0], [3, 4, 5], [0, 6, 7]]))
+        failed = {c.name for c in report.failures()}
+        assert {"sym_part_block_similarity", "antisym_part_block_similarity"} <= failed
