@@ -27,7 +27,7 @@ from .invariants import (
     Polynomial,
 )
 from .orbit import DEFAULT_ENUMERATION_CAP
-from .verification import CheckOutcome, verify_matrix
+from .verification import CheckOutcome, _gather_by_permutation, verify_matrix
 
 
 def _scalar_str(x: Fraction) -> str:
@@ -256,9 +256,7 @@ def _cmd_blockform(args) -> int:
             }
         )
         similar = CheckOutcome(name="conjugate_is_block_diagonal")
-        similar.record(
-            form.conjugated, blockform.assemble_diag(form.plus_block, form.minus_block)
-        )
+        similar.record(form.conjugated, _gather_by_permutation(a, form.permutation))
         checks.append(similar)
         for name, lhs, rhs in (
             ("char_poly_factors", rep.char_full, rep.char_product),
@@ -282,7 +280,7 @@ def _cmd_blockform(args) -> int:
             }
         )
         similar = CheckOutcome(name="conjugate_is_block_antidiagonal")
-        similar.record(form.conjugated, form.assembled)
+        similar.record(form.conjugated, _gather_by_permutation(a, form.permutation))
         checks.append(similar)
         out = CheckOutcome(name="determinant_and_permanent_factor")
         if rep.det_blocks_signed is None:

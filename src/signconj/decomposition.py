@@ -37,6 +37,18 @@ def _check_pair(a: Matrix, c: SignVector) -> None:
         raise DimensionMismatchError(f"matrix is {a.rows}x{a.cols} but sign vector has length {len(c)}")
 
 
+def _masked(a: Matrix, c: SignVector, keep: int) -> Matrix:
+    """Entries where c_i * c_j = keep, zero elsewhere."""
+    _check_pair(a, c)
+    return Matrix(
+        (
+            tuple(e if ci * cj == keep else 0 for e, cj in zip(row, c.signs))
+            for row, ci in zip(a.entries, c.signs)
+        ),
+        cols=a.cols,
+    )
+
+
 def sym_part(a: Matrix, c: SignVector) -> Matrix:
     """Entries where c_i * c_j = +1, zero elsewhere.
 
@@ -44,26 +56,12 @@ def sym_part(a: Matrix, c: SignVector) -> Matrix:
     conjugate), so the operation is well defined for every A.  Equals
     (A + conjugate)/2.
     """
-    _check_pair(a, c)
-    return Matrix(
-        (
-            tuple(e if ci * cj == 1 else 0 for e, cj in zip(row, c.signs))
-            for row, ci in zip(a.entries, c.signs)
-        ),
-        cols=a.cols,
-    )
+    return _masked(a, c, 1)
 
 
 def antisym_part(a: Matrix, c: SignVector) -> Matrix:
     """Entries where c_i * c_j = -1, zero elsewhere; diagonal is always zero."""
-    _check_pair(a, c)
-    return Matrix(
-        (
-            tuple(e if ci * cj == -1 else 0 for e, cj in zip(row, c.signs))
-            for row, ci in zip(a.entries, c.signs)
-        ),
-        cols=a.cols,
-    )
+    return _masked(a, c, -1)
 
 
 def split(a: Matrix, c: SignVector) -> DecompositionPair:
@@ -102,7 +100,9 @@ def subspace_dims(n: int, r: int) -> tuple[int, int]:
 def _order2_triple(a: Matrix, pair: DecompositionPair, summer) -> tuple[Fraction, Fraction, Fraction]:
     if a.rows < 2:
         raise OrderOutOfRangeError("order-2 additivity needs n >= 2")
-    return summer(a, 2), summer(pair.sym, 2), summer(pair.antisym, 2)
+    # order-2 sums cost O(n^2), so the matrix's own size is the cap
+    n = a.rows
+    return summer(a, 2, cap=n), summer(pair.sym, 2, cap=n), summer(pair.antisym, 2, cap=n)
 
 
 def minor2_additivity(a: Matrix, c: SignVector) -> tuple[Fraction, Fraction, Fraction]:

@@ -126,6 +126,12 @@ def _choose_vectors(n: int, samples: int | None, seed: int) -> list[SignVector]:
     ]
 
 
+def _principal_sums(poly: Polynomial, n: int) -> list[Fraction]:
+    """Order-k principal sums, k = 0..n, read off det(A - x*I) or perm(A - x*I):
+    (-1)^(n-k) times the coefficient of x^(n-k)."""
+    return [(-1) ** (n - k) * poly.coefficient(n - k) for k in range(n + 1)]
+
+
 def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
     """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of the
     index gather blockform checks against its block assembly before returning."""
@@ -186,6 +192,7 @@ def verify_matrix(
 
     identity = Matrix.identity(n)
     transpose = a.transpose()
+    product = a @ transpose
 
     for idx, c in enumerate(vectors):
         label = f"c={c}"
@@ -206,30 +213,22 @@ def verify_matrix(
         check("trace_invariant").record(trace(conj), base["trace"], label)
         check("determinant_invariant").record(determinant(conj), base["det"], label)
         check("rank_invariant").record(rank(conj), base["rank"], label)
-        check("char_poly_invariant").record(char_poly(conj), base["char"], label)
-        check("minor_sum_invariant").record(
-            [sum_principal_minors(conj, k, cap=max(n, 16)) for k in range(n + 1)],
-            minor_sums,
-            label,
-        )
+        char = char_poly(conj)
+        check("char_poly_invariant").record(char, base["char"], label)
+        check("minor_sum_invariant").record(_principal_sums(char, n), minor_sums, label)
         if do_perm:
             check("permanent_invariant").record(permanent(conj, cap=perm_cap), base["perm"], label)
         if do_permpoly:
-            check("perm_poly_invariant").record(
-                perm_poly(conj, cap=permpoly_cap), base["permpoly"], label
-            )
-            check("permanent_sum_invariant").record(
-                [sum_principal_permanents(conj, k, cap=max(n, 16)) for k in range(n + 1)],
-                perm_sums,
-                label,
-            )
+            ppoly = perm_poly(conj, cap=permpoly_cap)
+            check("perm_poly_invariant").record(ppoly, base["permpoly"], label)
+            check("permanent_sum_invariant").record(_principal_sums(ppoly, n), perm_sums, label)
 
         other = vectors[(idx + 1) % len(vectors)]
         check("composition_matches_pointwise_product").record(
             sign_conjugate(conj, other), sign_conjugate(a, compose(c, other)), label
         )
         check("multiplicative_over_product").record(
-            sign_conjugate(a @ transpose, c), conj @ sign_conjugate(transpose, c), label
+            sign_conjugate(product, c), conj @ sign_conjugate(transpose, c), label
         )
 
         fixed = sym_part(a, c)

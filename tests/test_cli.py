@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from signconj import ComponentLabeling, Matrix, orbit
+from signconj import ComponentLabeling, Matrix, blockform, orbit
 from signconj.cli import load_matrix, main, parse_matrix_document
 from oracles import orbit_by_matrices
 
@@ -138,6 +138,15 @@ class TestDecompose:
         assert report["results"]["sym_part"] == [["1", "5/2"], ["5/2", "4"]]
         assert report["results"]["antisym_part"] == [["0", "-1/2"], ["1/2", "0"]]
 
+    @pytest.mark.parametrize("mode", [["--classic"], ["--signs", ",".join(["1", "-1"] * 10)]])
+    def test_twenty_by_twenty(self, capsys, tmp_path, mode):
+        # order-2 sums are O(n^2): no subset-sum cap applies to them
+        text = "\n".join(",".join(str((3 * i + j) % 7 - 3) for j in range(20)) for i in range(20))
+        path = write_matrix(tmp_path, "m.csv", text + "\n")
+        code, out, err = run_cli(capsys, "decompose", "--matrix", path, *mode)
+        assert (code, err) == (0, "")
+        assert all(c["passed"] for c in json.loads(out)["checks"])
+
     def test_requires_exactly_one_mode(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.csv", "1,2\n3,4\n")
         with pytest.raises(SystemExit) as exc:
@@ -179,6 +188,25 @@ class TestBlockform:
         report = json.loads(out)
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["matrix_symmetry_class"]
+
+
+    @pytest.mark.parametrize(
+        "name, signs, check",
+        [
+            ("sym4.json", "1,-1,1,-1", "conjugate_is_block_diagonal"),
+            ("antisym4.json", "1,-1,-1,1", "conjugate_is_block_antidiagonal"),
+        ],
+    )
+    def test_similarity_fails_when_gather_negates(self, capsys, monkeypatch, name, signs, check):
+        # blocks and gather stay consistent, so blockform's own gate passes;
+        # the check reads P^-1*A*P through the permutation itself
+        real = blockform._pick
+        monkeypatch.setattr(blockform, "_pick", lambda a, rows, cols: -real(a, rows, cols))
+        path = str(Path(__file__).resolve().parent / "golden" / name)
+        code, out, _ = run_cli(capsys, "blockform", "--matrix", path, "--signs", signs)
+        assert code == 1
+        failing = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert check in failing
 
 
 class TestOrbit:

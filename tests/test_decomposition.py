@@ -247,3 +247,35 @@ class TestOrder2Additivity:
                     perm_poly(parts.sym).coefficient(n - 2)
                     + perm_poly(parts.antisym).coefficient(n - 2)
                 )
+
+
+def _order2_closed_form(m: Matrix, sign: int) -> Fraction:
+    """sum_{i<j} m_ii*m_jj + sign*m_ij*m_ji: the order-2 minor sum for
+    sign = -1, the order-2 permanent sum for sign = +1."""
+    e = m.entries
+    return sum(
+        (e[i][i] * e[j][j] + sign * e[i][j] * e[j][i]
+         for i in range(m.rows) for j in range(i + 1, m.rows)),
+        Fraction(0),
+    )
+
+
+class TestOrder2AdditivityLarge:
+    """Order-2 sums cost O(n^2), so they run past the subset-sum cap."""
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_matches_closed_form(self, n):
+        rng = random.Random(n)
+        a = random_matrix(rng, n)
+        c = random_sign_vector(rng, n)
+        pair = split(a, c)
+        classic = classic_split(a)
+        for triple, parts, sign in (
+            (minor2_additivity(a, c), pair, -1),
+            (permanent2_additivity(a, c), pair, 1),
+            (classic_minor2_additivity(a), classic, -1),
+            (classic_permanent2_additivity(a), classic, 1),
+        ):
+            expected = tuple(_order2_closed_form(m, sign) for m in (a, parts.sym, parts.antisym))
+            assert triple == expected
+            assert triple[0] == triple[1] + triple[2]

@@ -109,6 +109,13 @@ class TestDeterminant:
         a = Matrix([[0, 1, 2], [1, 0, 3], [4, 5, 0]])
         assert determinant(a) == cofactor_determinant(a)
 
+    def test_matches_sympy(self):
+        rng = random.Random(1313)
+        for n in range(1, 10):
+            for a in (random_matrix(rng, n), random_sparse_matrix(rng, n, density=0.4)):
+                d = _sympy_matrix(a).det()
+                assert determinant(a) == Fraction(int(d.p), int(d.q))
+
 
 class TestPermanent:
     def test_examples(self):
@@ -264,6 +271,17 @@ class TestCharPoly:
             for k in range(n + 1):
                 expected = (-1) ** (n - k) * sum_principal_minors(a, k)
                 assert p.coefficient(n - k) == expected
+
+    def test_matches_sympy_charpoly(self):
+        # sympy's charpoly is det(x*I - A) = (-1)^n * det(A - x*I)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(1414)
+        for n in range(1, 9):
+            for a in (random_matrix(rng, n), random_sparse_matrix(rng, n, density=0.4)):
+                theirs = _sympy_matrix(a).charpoly(x).all_coeffs()[::-1]
+                expected = [(-1) ** n * Fraction(int(c.p), int(c.q)) for c in theirs]
+                assert list(char_poly(a).coefficients) == expected
 
     def test_constant_term_is_determinant(self):
         rng = random.Random(707)

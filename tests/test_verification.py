@@ -187,3 +187,41 @@ class TestBlockSimilarity:
         report = verify_matrix(Matrix([[1, 2, 0], [3, 4, 5], [0, 6, 7]]))
         failed = {c.name for c in report.failures()}
         assert {"sym_part_block_similarity", "antisym_part_block_similarity"} <= failed
+
+
+class TestPrincipalSums:
+    """The per-vector principal sums are read off the characteristic and
+    permanental polynomials of each conjugate; the subset sums run once,
+    on A itself."""
+
+    A = Matrix([[1, 2, 0, "1/2"], [3, 4, 5, 0], [0, 6, 7, 1], [2, 0, "-1/3", 1]])
+
+    @pytest.mark.parametrize("name", ["sum_principal_minors", "sum_principal_permanents"])
+    def test_subset_sums_run_only_on_a(self, monkeypatch, name):
+        real = getattr(verification, name)
+        seen = []
+
+        def spy(m, k, **kwargs):
+            seen.append(m)
+            return real(m, k, **kwargs)
+
+        monkeypatch.setattr(verification, name, spy)
+        assert verify_matrix(self.A).passed
+        assert len(seen) == self.A.rows + 1
+        assert all(m is self.A for m in seen)
+
+    @pytest.mark.parametrize(
+        "name, check",
+        [
+            ("sum_principal_minors", "minor_sum_invariant"),
+            ("sum_principal_permanents", "permanent_sum_invariant"),
+        ],
+    )
+    @pytest.mark.parametrize("samples", [None, 3])
+    def test_shifted_subset_sum_fails(self, monkeypatch, name, check, samples):
+        real = getattr(verification, name)
+        monkeypatch.setattr(
+            verification, name, lambda m, k, **kw: real(m, k, **kw) + (1 if k == 2 else 0)
+        )
+        report = verify_matrix(self.A, samples=samples)
+        assert {c.name for c in report.failures()} == {check}
