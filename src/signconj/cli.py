@@ -6,7 +6,8 @@ p/q) or a JSON document {"n": ..., "entries": [[...]]}; reports go to
 stdout as deterministic JSON with every rational rendered exactly as
 "p/q" (bare integer when the denominator is 1).  Exit codes: 0 success,
 1 a check failed, 2 input or usage error, 3 an internal inconsistency
-(two routes inside the library disagree).
+(the orbit census disagrees with the component count, or the
+characteristic-polynomial recursion meets an inexact division).
 """
 
 from __future__ import annotations
@@ -255,8 +256,10 @@ def _cmd_blockform(args) -> int:
                 "conjugated": _matrix_json(form.conjugated),
             }
         )
+        gathered = _gather_by_permutation(a, form.permutation)
         similar = CheckOutcome(name="conjugate_is_block_diagonal")
-        similar.record(form.conjugated, _gather_by_permutation(a, form.permutation))
+        similar.record(form.conjugated, gathered)
+        similar.record(blockform.assemble_diag(form.plus_block, form.minus_block), gathered)
         checks.append(similar)
         for name, lhs, rhs in (
             ("char_poly_factors", rep.char_full, rep.char_product),
@@ -279,8 +282,10 @@ def _cmd_blockform(args) -> int:
                 "conjugated": _matrix_json(form.conjugated),
             }
         )
+        gathered = _gather_by_permutation(a, form.permutation)
         similar = CheckOutcome(name="conjugate_is_block_antidiagonal")
-        similar.record(form.conjugated, _gather_by_permutation(a, form.permutation))
+        similar.record(form.conjugated, gathered)
+        similar.record(blockform.assemble_antidiag(form.upper_block, form.lower_block), gathered)
         checks.append(similar)
         out = CheckOutcome(name="determinant_and_permanent_factor")
         if rep.det_blocks_signed is None:

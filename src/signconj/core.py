@@ -107,12 +107,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> Matrix:
         return Matrix(zip(*self.entries), cols=self.rows) if self.rows else Matrix((), cols=0)
 
@@ -267,14 +261,6 @@ class Permutation:
         for k, image in enumerate(self.images, start=1):
             inv[image - 1] = k
         return Permutation(tuple(inv))
-
-    def matrix(self) -> Matrix:
-        """0/1 matrix whose column j is the standard basis vector e_{images[j]}."""
-        n = len(self.images)
-        return Matrix(
-            (tuple(1 if self.images[j] == i + 1 else 0 for j in range(n)) for i in range(n)),
-            cols=n,
-        )
 
 
 def _check_conformable(a: Matrix, c: SignVector) -> None:

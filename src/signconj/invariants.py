@@ -127,32 +127,6 @@ def _clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _det_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; every interior division is exact."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            lead = row_i[k]
-            pivot_val = row_k[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot_val - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _perm_ryser_int(rows: Sequence[Sequence[int]]) -> int:
     """Permanent by inclusion-exclusion over column subsets, walked in
     Gray-code order so each step updates the row sums in O(n)."""
@@ -242,21 +216,28 @@ def _perm_poly_ryser_int(rows: Sequence[Sequence[int]]) -> list[int]:
     return total if n % 2 == 0 else [-c for c in total]
 
 
-def _rank_bareiss_int(rows: list[list[int]], cols: int) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def _bareiss_int(rows: list[list[int]], cols: int) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free elimination.
 
     Columns without a pivot are skipped; every update only reads the pivot
     columns and its own column, so each division is an exact Bareiss step.
+    The determinant is the last pivot, signed by the row swaps, when the
+    matrix is square of full rank, and 0 otherwise (1 for the 0x0 matrix).
     """
     m = [row[:] for row in rows]
     n = len(m)
     r = 0
     prev = 1
+    sign = 1
     for col in range(cols):
-        pivot = next((i for i in range(r, n) if m[i][col]), None)
+        if r == n:
+            break
+        pivot = r if m[r][col] else next((i for i in range(r + 1, n) if m[i][col]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         row_r = m[r]
         pivot_val = row_r[col]
         for i in range(r + 1, n):
@@ -267,9 +248,7 @@ def _rank_bareiss_int(rows: list[list[int]], cols: int) -> int:
             row_i[col] = 0
         prev = pivot_val
         r += 1
-        if r == n:
-            break
-    return r
+    return r, (sign * prev if r == n == cols else 0)
 
 
 def _char_poly_int(rows: list[list[int]]) -> list[int]:
@@ -310,7 +289,7 @@ def determinant(a: Matrix) -> Fraction:
     """Exact determinant via fraction-free elimination on the cleared matrix."""
     a.require_square("determinant")
     rows, den = _clear_denominators(a)
-    return Fraction(_det_bareiss_int(rows), den ** a.rows)
+    return Fraction(_bareiss_int(rows, a.rows)[1], den ** a.rows)
 
 
 def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
@@ -325,7 +304,7 @@ def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
 def rank(a: Matrix) -> int:
     """Rank over the rationals by fraction-free elimination on the cleared matrix."""
     rows, _ = _clear_denominators(a)
-    return _rank_bareiss_int(rows, a.cols)
+    return _bareiss_int(rows, a.cols)[0]
 
 
 def _validated_index_set(a: Matrix, indices: Iterable[int]) -> tuple[int, ...]:
@@ -377,7 +356,7 @@ def sum_principal_minors(a: Matrix, k: int, *, cap: int = DEFAULT_MINOR_SUM_CAP)
     total = 0
     for subset in combinations(range(a.rows), k):
         sub = [[rows[i][j] for j in subset] for i in subset]
-        total += _det_bareiss_int(sub)
+        total += _bareiss_int(sub, k)[1]
     return Fraction(total, den**k)
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .blockform import (
     antisym_block_form,
+    assemble_antidiag,
+    assemble_diag,
     factor_invariants_antisym,
     factor_invariants_sym,
     sym_block_form,
@@ -133,8 +135,8 @@ def _principal_sums(poly: Polynomial, n: int) -> list[Fraction]:
 
 
 def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
-    """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of the
-    index gather blockform checks against its block assembly before returning."""
+    """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of
+    both the index gather and the blocks blockform returns."""
     ids = range(1, len(p) + 1)
     return Matrix([[a.entries[p(i) - 1][p(j) - 1] for j in ids] for i in ids])
 
@@ -254,13 +256,15 @@ def verify_matrix(
                 check("permanent2_additivity_sign_split").record(lhs, rhs_sym + rhs_anti, label)
 
         sym_form = sym_block_form(fixed, c)
-        check("sym_part_block_similarity").record(
-            sym_form.conjugated, _gather_by_permutation(fixed, sym_form.permutation), label
-        )
+        gathered = _gather_by_permutation(fixed, sym_form.permutation)
+        out = check("sym_part_block_similarity")
+        out.record(sym_form.conjugated, gathered, label)
+        out.record(assemble_diag(sym_form.plus_block, sym_form.minus_block), gathered, label)
         anti_form = antisym_block_form(negated, c)
-        check("antisym_part_block_similarity").record(
-            anti_form.conjugated, _gather_by_permutation(negated, anti_form.permutation), label
-        )
+        gathered = _gather_by_permutation(negated, anti_form.permutation)
+        out = check("antisym_part_block_similarity")
+        out.record(anti_form.conjugated, gathered, label)
+        out.record(assemble_antidiag(anti_form.upper_block, anti_form.lower_block), gathered, label)
         if do_permpoly:
             rep = factor_invariants_sym(fixed, c)
             check("sym_part_factorizations").record(
@@ -297,17 +301,23 @@ def verify_matrix(
 
     t = graph_components(a).count
     if n <= orbit_cap:
+        # one brute-force pass over every conjugate, in the orders the library
+        # uses: fixing vectors +1-first, distinct conjugates by first occurrence
+        fixing = []
+        distinct: dict[Matrix, None] = {}
+        for c in admissible_sign_vectors(n):
+            conj = sign_conjugate(a, c)
+            if conj == a:
+                fixing.append(c)
+            distinct.setdefault(conj)
         report = orbit_size(a, cap=orbit_cap)
-        check("orbit_matches_component_count").record(
-            len(report.enumerated), 1 << (n - t)
-        )
+        out = check("orbit_matches_component_count")
+        out.record(len(report.enumerated), 1 << (n - t))
+        out.record(report.enumerated, tuple(distinct))
         stab = stabilizer_elements(a, cap=orbit_cap)
-        brute = tuple(c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a)
         check("stabilizer_matches_brute_force").record(len(stab), 1 << (t - 1))
-        check("stabilizer_matches_brute_force").record(stab, brute)  # both +1-first order
-        check("orbit_times_stabilizer").record(
-            report.orbit_size * report.stabilizer_size, 1 << (n - 1)
-        )
+        check("stabilizer_matches_brute_force").record(stab, tuple(fixing))
+        check("orbit_times_stabilizer").record(len(distinct) * len(fixing), 1 << (n - 1))
     else:
         skipped.append(("orbit_enumeration", f"n={n} exceeds orbit cap {orbit_cap}"))
         check("orbit_times_stabilizer").record((1 << (n - t)) * (1 << (t - 1)), 1 << (n - 1))

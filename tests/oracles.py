@@ -148,9 +148,18 @@ def stabilizer_by_matrices(a: Matrix) -> set[SignVector]:
     return {c for c in admissible_sign_vectors(a.rows) if sign_conjugate(a, c) == a}
 
 
+def permutation_matrix(p: Permutation) -> Matrix:
+    """0/1 matrix whose column j is the standard basis vector e_{p.images[j]}."""
+    n = len(p)
+    return Matrix(
+        (tuple(1 if p.images[j] == i + 1 else 0 for j in range(n)) for i in range(n)),
+        cols=n,
+    )
+
+
 def conjugate_by_permutation_matrix(a: Matrix, p: Permutation) -> Matrix:
-    """P^T * A * P with P = p.matrix(); P is orthogonal, so this is P^-1 * A * P."""
-    pm = p.matrix()
+    """P^T * A * P with P = permutation_matrix(p); P is orthogonal, so this is P^-1 * A * P."""
+    pm = permutation_matrix(p)
     return pm.transpose() @ a @ pm
 
 

@@ -18,6 +18,7 @@ from signconj import (
     admissible_sign_vectors,
     antisym_block_form,
     antisym_part,
+    assemble_antidiag,
     assemble_diag,
     block_permutation,
     cayley_table,
@@ -305,7 +306,7 @@ def test_criterion_08_block_forms():
             c = random_sign_vector(rng, n)
             a = antisym_part(random_matrix(rng, n), c)
             form = antisym_block_form(a, c)
-            if form.conjugated != form.assembled:
+            if form.conjugated != assemble_antidiag(form.upper_block, form.lower_block):
                 failures.append(("antisym similarity", n, c))
             if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
                 failures.append(("antisym permutation-matrix similarity", n, c))

