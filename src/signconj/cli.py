@@ -5,9 +5,9 @@ verify.  Matrices come from CSV (one row per line, entries integer or
 p/q) or a JSON document {"n": ..., "entries": [[...]]}; reports go to
 stdout as deterministic JSON with every rational rendered exactly as
 "p/q" (bare integer when the denominator is 1).  Exit codes: 0 success,
-1 a check failed, 2 input or usage error, 3 an internal inconsistency
-(the orbit census disagrees with the component count, or the
-characteristic-polynomial recursion meets an inexact division).
+1 a check failed, 2 input or usage error, 3 an internal inconsistency,
+which only the orbit census raises (its enumeration disagrees with the
+component count).
 """
 
 from __future__ import annotations
@@ -243,9 +243,12 @@ def _cmd_blockform(args) -> int:
     )
     checks.append(gate)
     results: dict = {"classification": kind.value}
+    # the factor reports compute permanents; the block form is a gather at any n
+    run_factors = a.rows <= DEFAULT_PERMANENT_CAP
+    skip_reason = f"n={a.rows} exceeds permanent cap {DEFAULT_PERMANENT_CAP}"
+    omitted = {}
     if kind is decomposition.Symmetry.SYMMETRIC:
         form = blockform.sym_block_form(a, c)
-        rep = blockform.factor_invariants_sym(a, c)
         results.update(
             {
                 "plus_indices": list(form.partition.plus_indices),
@@ -261,17 +264,21 @@ def _cmd_blockform(args) -> int:
         similar.record(form.conjugated, gathered)
         similar.record(blockform.assemble_diag(form.plus_block, form.minus_block), gathered)
         checks.append(similar)
-        for name, lhs, rhs in (
-            ("char_poly_factors", rep.char_full, rep.char_product),
-            ("determinant_factors", rep.det_full, rep.det_product),
-            ("permanent_factors", rep.perm_full, rep.perm_product),
-        ):
-            out = CheckOutcome(name=name)
-            out.record(lhs, rhs)
-            checks.append(out)
+        if run_factors:
+            rep = blockform.factor_invariants_sym(a, c)
+            for name, lhs, rhs in (
+                ("char_poly_factors", rep.char_full, rep.char_product),
+                ("determinant_factors", rep.det_full, rep.det_product),
+                ("permanent_factors", rep.perm_full, rep.perm_product),
+            ):
+                out = CheckOutcome(name=name)
+                out.record(lhs, rhs)
+                checks.append(out)
+        else:
+            for name in ("char_poly_factors", "determinant_factors", "permanent_factors"):
+                omitted[name] = skip_reason
     elif kind is decomposition.Symmetry.ANTISYMMETRIC:
         form = blockform.antisym_block_form(a, c)
-        rep = blockform.factor_invariants_antisym(a, c)
         results.update(
             {
                 "plus_indices": list(form.partition.plus_indices),
@@ -287,19 +294,25 @@ def _cmd_blockform(args) -> int:
         similar.record(form.conjugated, gathered)
         similar.record(blockform.assemble_antidiag(form.upper_block, form.lower_block), gathered)
         checks.append(similar)
-        out = CheckOutcome(name="determinant_and_permanent_factor")
-        if rep.det_blocks_signed is None:
-            out.record((rep.det_full, rep.perm_full), (Fraction(0), Fraction(0)))
+        if run_factors:
+            rep = blockform.factor_invariants_antisym(a, c)
+            out = CheckOutcome(name="determinant_and_permanent_factor")
+            if rep.det_blocks_signed is None:
+                out.record((rep.det_full, rep.perm_full), (Fraction(0), Fraction(0)))
+            else:
+                out.record((rep.det_full, rep.perm_full), (rep.det_blocks_signed, rep.perm_blocks))
+                out.note = "determinant sign is (-1)^(n/2)"
+            checks.append(out)
         else:
-            out.record((rep.det_full, rep.perm_full), (rep.det_blocks_signed, rep.perm_blocks))
-            out.note = "determinant sign is (-1)^(n/2)"
-        checks.append(out)
+            omitted["determinant_and_permanent_factor"] = skip_reason
     report = {
         "command": "blockform",
         "inputs": _inputs_block(args, a),
         "results": results,
         "checks": [_check_json(ch) for ch in checks],
     }
+    if omitted:
+        report["omitted"] = omitted
     return _emit(report, failed=any(not ch.passed for ch in checks))
 
 

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .core import Matrix, ScalarLike, as_scalar
 from .errors import (
     IndexOutOfRangeError,
-    InternalConsistencyError,
     OrderOutOfRangeError,
     SizeCapExceededError,
 )
@@ -254,29 +253,23 @@ def _bareiss_int(rows: list[list[int]], cols: int) -> tuple[int, int]:
 def _char_poly_int(rows: list[list[int]]) -> list[int]:
     """Ascending coefficients of det(x*I - N) for an integer matrix N.
 
-    Faddeev-LeVerrier recursion; the division by k is exact because the
-    coefficients of an integer matrix's characteristic polynomial are
-    integers and so is every intermediate matrix.
+    Berkowitz's division-free algorithm.  Step r extends the descending
+    characteristic polynomial p of the leading r x r block M by row r:
+    with C the column above a_rr and R the row before it,
+    t = [1, -a_rr, -R*C, -R*M*C, ..., -R*M^(r-1)*C] and p <- T(t)*p for the
+    lower-triangular Toeplitz matrix T(t), a convolution cut at r+2 terms.
     """
-    n = len(rows)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        nk = [
-            [sum(rows[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(nk[i][i] for i in range(n))
-        if tr % k:
-            raise InternalConsistencyError("inexact division in characteristic recursion")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        if k < n:
-            m = nk
-            for i in range(n):
-                m[i][i] += c
-    return coeffs
+    p = [1]
+    for r, row in enumerate(rows):
+        block = [above[:r] for above in rows[:r]]
+        left = row[:r]
+        col = [above[r] for above in rows[:r]]
+        t = [1, -row[r]]
+        for _ in range(r):
+            t.append(-sum(x * y for x, y in zip(left, col)))
+            col = [sum(x * y for x, y in zip(block_row, col)) for block_row in block]
+        p = [sum(t[i - j] * p[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return p[::-1]
 
 
 def trace(a: Matrix) -> Fraction:
@@ -374,9 +367,10 @@ def sum_principal_permanents(a: Matrix, k: int, *, cap: int = DEFAULT_MINOR_SUM_
 def char_poly(a: Matrix) -> Polynomial:
     """Characteristic polynomial det(A - x*I), ascending coefficients.
 
-    Computed by the Faddeev-LeVerrier recursion on the denominator-cleared
-    matrix; the subset-sum coefficient law is kept as an independent
-    cross-check in the tests, not as the production path.
+    Computed by Berkowitz's division-free algorithm on the
+    denominator-cleared matrix; Faddeev-LeVerrier and the subset-sum
+    coefficient law are kept as independent cross-checks in the tests,
+    not as production paths.
     """
     a.require_square("characteristic polynomial")
     n = a.rows

@@ -178,9 +178,9 @@ def verify_matrix(
         base["perm"] = permanent(a, cap=perm_cap)
     if do_permpoly:
         base["permpoly"] = perm_poly(a, cap=permpoly_cap)
-    minor_sums = [sum_principal_minors(a, k, cap=max(n, 16)) for k in range(n + 1)]
+    minor_sums = [sum_principal_minors(a, k, cap=n) for k in range(n + 1)]
     perm_sums = (
-        [sum_principal_permanents(a, k, cap=max(n, 16)) for k in range(n + 1)]
+        [sum_principal_permanents(a, k, cap=n) for k in range(n + 1)]
         if do_permpoly
         else None
     )
@@ -302,18 +302,27 @@ def verify_matrix(
     t = graph_components(a).count
     if n <= orbit_cap:
         # one brute-force pass over every conjugate, in the orders the library
-        # uses: fixing vectors +1-first, distinct conjugates by first occurrence
+        # uses: fixing vectors +1-first, distinct conjugates by first occurrence.
+        # A conjugate only negates entries, so its denominators are A's own and
+        # its signed numerators identify it.
+        numerators = [[e.numerator for e in row] for row in a.entries]
+        own_key = tuple(e for row in numerators for e in row)
         fixing = []
-        distinct: dict[Matrix, None] = {}
+        distinct: dict[tuple[int, ...], Matrix] = {}
         for c in admissible_sign_vectors(n):
-            conj = sign_conjugate(a, c)
-            if conj == a:
+            key = tuple(
+                e if ci == cj else -e
+                for ci, row in zip(c.signs, numerators)
+                for cj, e in zip(c.signs, row)
+            )
+            if key == own_key:
                 fixing.append(c)
-            distinct.setdefault(conj)
+            if key not in distinct:
+                distinct[key] = sign_conjugate(a, c)
         report = orbit_size(a, cap=orbit_cap)
         out = check("orbit_matches_component_count")
         out.record(len(report.enumerated), 1 << (n - t))
-        out.record(report.enumerated, tuple(distinct))
+        out.record(report.enumerated, tuple(distinct.values()))
         stab = stabilizer_elements(a, cap=orbit_cap)
         check("stabilizer_matches_brute_force").record(len(stab), 1 << (t - 1))
         check("stabilizer_matches_brute_force").record(stab, tuple(fixing))

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and random-input generators.
 
 Everything here is deliberately naive - permutation sums, cofactor
-expansion, Lagrange interpolation - so the production algorithms are
-checked against code that shares nothing with them.
+expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion - so
+the production algorithms are checked against code that shares nothing
+with them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import cache
 from itertools import permutations
 
 from signconj import (
+    InternalConsistencyError,
     Matrix,
     Permutation,
     Polynomial,
@@ -92,6 +94,34 @@ def cofactor_determinant(a: Matrix) -> Fraction:
         term = a.entries[0][j] * cofactor_determinant(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def faddeev_char_poly(rows: list[list[int]]) -> list[int]:
+    """Ascending coefficients of det(x*I - N) for an integer matrix N.
+
+    Faddeev-LeVerrier recursion; the division by k is exact because the
+    coefficients of an integer matrix's characteristic polynomial are
+    integers and so is every intermediate matrix.
+    """
+    n = len(rows)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        nk = [
+            [sum(rows[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(nk[i][i] for i in range(n))
+        if tr % k:
+            raise InternalConsistencyError("inexact division in characteristic recursion")
+        c = -(tr // k)
+        coeffs[n - k] = c
+        if k < n:
+            m = nk
+            for i in range(n):
+                m[i][i] += c
+    return coeffs
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Polynomial:

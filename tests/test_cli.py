@@ -263,6 +263,40 @@ class TestBlockform:
             }
         }
 
+    @pytest.mark.parametrize(
+        "n, kind, similarity, omitted",
+        [
+            (21, "symmetric", "conjugate_is_block_diagonal",
+             ["char_poly_factors", "determinant_factors", "permanent_factors"]),
+            (22, "antisymmetric", "conjugate_is_block_antidiagonal",
+             ["determinant_and_permanent_factor"]),
+        ],
+    )
+    def test_above_permanent_cap_omits_factor_checks(
+        self, capsys, tmp_path, n, kind, similarity, omitted
+    ):
+        # the factor reports need permanents; the form itself is a gather
+        signs = [1 if i % 3 else -1 for i in range(n)]
+        signs[0] = 1
+        fixed = kind == "symmetric"
+        rows = [
+            [str((i + 2 * j) % 7 + 1) if (si == sj) == fixed else "0"
+             for j, sj in enumerate(signs)]
+            for i, si in enumerate(signs)
+        ]
+        path = write_matrix(tmp_path, "m.csv", "\n".join(",".join(r) for r in rows))
+        code, out, _ = run_cli(
+            capsys, "blockform", "--matrix", path, "--signs", ",".join(map(str, signs))
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"]["classification"] == kind
+        assert [c["name"] for c in report["checks"]] == ["matrix_symmetry_class", similarity]
+        assert all(c["passed"] for c in report["checks"])
+        assert report["omitted"] == {
+            name: f"n={n} exceeds permanent cap 20" for name in omitted
+        }
+
 
 class TestOrbit:
     def test_fixture(self, capsys, tmp_path):

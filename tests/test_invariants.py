@@ -1,5 +1,6 @@
 """Invariant computations against brute-force oracles and invariance laws."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,9 +27,11 @@ from signconj import (
     sum_principal_permanents,
     trace,
 )
+from signconj.invariants import _char_poly_int
 from oracles import (
     cofactor_determinant,
     expansion_permanent,
+    faddeev_char_poly,
     gaussian_rank,
     naive_permanent,
     perm_poly_by_interpolation,
@@ -263,7 +266,7 @@ class TestCharPoly:
             assert char_poly(a).coefficient(n) == (-1) ** n
 
     def test_subset_sum_coefficient_law(self):
-        # independent route: Faddeev-LeVerrier vs explicit minor sums
+        # independent route: Berkowitz vs explicit minor sums
         rng = random.Random(606)
         for n in range(1, 11):
             a = random_matrix(rng, n, integer=(n > 6))
@@ -282,6 +285,32 @@ class TestCharPoly:
                 theirs = _sympy_matrix(a).charpoly(x).all_coeffs()[::-1]
                 expected = [(-1) ** n * Fraction(int(c.p), int(c.q)) for c in theirs]
                 assert list(char_poly(a).coefficients) == expected
+
+    def test_matches_faddeev_oracle(self):
+        # det(A - x*I) = (-1)^n * det(x*I - A); with N = den*A, coefficient k
+        # of det(x*I - A) is that of det(x*I - N) over den^(n-k)
+        rng = random.Random(808)
+        cases = [Matrix([], cols=0), Matrix.zero(5), Matrix.diagonal([3, "-1/2", 0, 7])]
+        for n in range(1, 13):
+            cases.append(random_matrix(rng, n, integer=True))
+            cases.append(random_matrix(rng, n))
+            cases.append(random_sparse_matrix(rng, n, density=0.2))
+            strict_upper = random_matrix(rng, n)
+            cases.append(
+                Matrix(
+                    [[e if j > i else 0 for j, e in enumerate(row)]
+                     for i, row in enumerate(strict_upper.entries)],
+                    cols=n,
+                )
+            )
+        for a in cases:
+            n = a.rows
+            den = math.lcm(*(e.denominator for row in a.entries for e in row))
+            monic = faddeev_char_poly(
+                [[int(e * den) for e in row] for row in a.entries]
+            )
+            expected = [(-1) ** n * Fraction(monic[k], den ** (n - k)) for k in range(n + 1)]
+            assert char_poly(a) == Polynomial(expected)
 
     def test_constant_term_is_determinant(self):
         rng = random.Random(707)
@@ -459,3 +488,15 @@ def test_full_rank_exactly_when_determinant_nonzero(rows):
     # determinant and rank share one elimination kernel
     a = Matrix(rows, cols=len(rows))
     assert (rank(a) == a.rows) == (determinant(a) != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_char_poly_kernel_matches_faddeev(rows):
+    assert _char_poly_int(rows) == faddeev_char_poly(rows)

@@ -1,10 +1,19 @@
 """Verification battery: outcome bookkeeping, caps, and edge dimensions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from signconj import Matrix, RangeError, blockform, parse_sign_vector, verify_matrix, verification
+from signconj import (
+    Matrix,
+    RangeError,
+    blockform,
+    graph_components,
+    parse_sign_vector,
+    verify_matrix,
+    verification,
+)
 from signconj.verification import CheckOutcome, format_value
 from oracles import random_matrix
 
@@ -174,6 +183,34 @@ class TestStabilizerBruteForce:
         assert not out.passed
         assert out.lhs == "(1,1,1, 1,-1,1)"
         assert out.rhs == "(1,1,1, 1,1,-1)"
+
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    def test_sparse_rational_orbit_checks_pass(self, components):
+        # the brute-force pass keys conjugates by signed numerators; rational
+        # entries with repeated magnitudes and signs must not collide
+        rng = random.Random(40 + components)
+        n = 8
+        labels = [i % components for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = Fraction(rng.choice((0, 1, -1)), rng.randint(1, 3))
+            for j in range(n):
+                if i != j and labels[i] == labels[j] and rng.random() < 0.6:
+                    rows[i][j] = Fraction(rng.choice((1, -1, 2)), rng.randint(1, 3))
+        for i in range(n - components):
+            # chain each label class so it is one connected component
+            j = i + components
+            if not rows[i][j] and not rows[j][i]:
+                rows[i][j] = Fraction(1, 2)
+        a = Matrix(rows)
+        assert graph_components(a).count == components
+        report = verify_matrix(a, samples=2, perm_cap=0, permpoly_cap=0)
+        names = {c.name: c for c in report.checks}
+        for name in ("orbit_matches_component_count", "stabilizer_matches_brute_force",
+                     "orbit_times_stabilizer"):
+            assert names[name].passed, name
+        assert report.passed
+        assert names["stabilizer_matches_brute_force"].lhs == str(1 << (components - 1))
 
 
 class TestBlockSimilarity:
