@@ -28,6 +28,14 @@ CASES = {
         0,
         ["blockform", "--matrix", GOLDEN / "antisym4.json", "--signs", "1,-1,-1,1"],
     ),
+    "invariants_int20": (0, ["invariants", "--matrix", GOLDEN / "int20.json"]),
+    "invariants_rational12": (
+        0,
+        [
+            "invariants", "--matrix", GOLDEN / "rational12.json",
+            "--perm-cap", "20", "--permpoly-cap", "12",
+        ],
+    ),
 }
 
 
