@@ -4,12 +4,16 @@ minors/permanents, and the characteristic and permanental polynomials.
 The exponential-cost kernels (permanent, subset sums) first clear the
 global denominator and run on plain Python ints, which is 20-50x faster
 than Fraction arithmetic and just as exact; results are rescaled back to
-rationals at the end.
+rationals at the end.  The permanent is Glynn's formula, a signed sum
+over the 2^(n-1) admissible sign vectors d with d_1 = +1, with its
+column sums packed into one int; the permanental polynomial is one
+polynomial-valued Ryser pass, so the two share no kernel.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -24,6 +28,9 @@ from .errors import (
 DEFAULT_PERMANENT_CAP = 20
 DEFAULT_PERM_POLY_CAP = 12
 DEFAULT_MINOR_SUM_CAP = 16
+
+# struct codes of the signed column-sum fields _perm_glynn_int decodes natively
+_FIELD_CODES = {16: "h", 32: "i", 64: "q"}
 
 
 class Polynomial:
@@ -126,38 +133,66 @@ def _clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _perm_ryser_int(rows: Sequence[Sequence[int]]) -> int:
-    """Permanent by inclusion-exclusion over column subsets, walked in
-    Gray-code order so each step updates the row sums in O(n)."""
+def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
+    """Permanent by Glynn's formula over the admissible sign vectors:
+
+        perm(N) = 2^-(n-1) * sum over d in {+-1}^n with d_1 = +1 of
+                  prod_k d_k * prod_j (sum_i d_i * N_ij).
+
+    The walk visits d_2..d_n in Gray-code order, so each step flips one d_k.
+    The n column sums are fixed-width fields of one int, each biased by half
+    its range so that no field borrows from its neighbour: a step is one add
+    of a precomputed packed -+2*row_k, and XOR with the bias turns every
+    field into two's complement for decoding.  Fields are the narrowest of
+    16, 32 or 64 bits whose signed range holds the largest absolute column
+    sum, decoded by struct; above 64 bits they are whole bytes decoded by
+    int.from_bytes.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    cols = [tuple(row[j] for row in rows) for j in range(n)]
-    sums = [0] * n
-    total = 0
-    gray = 0
-    sign = 1
-    for k in range(1, 1 << n):
-        # the bit flipped between consecutive Gray codes is the lowest set bit of k
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        col = cols[j]
-        if gray & bit:
-            for i in range(n):
-                sums[i] += col[i]
-        else:
-            for i in range(n):
-                sums[i] -= col[i]
-        sign = -sign
-        prod = 1
-        for s in sums:
-            if not s:
-                prod = 0
-                break
-            prod *= s
-        total += prod if sign > 0 else -prod
-    return total if n % 2 == 0 else -total
+    if n < 2:
+        return rows[0][0] if n else 1
+    bound = max(sum(map(abs, col)) for col in zip(*rows))
+    # 2^(width-1) > bound, so every column sum fits a signed field
+    width = next(
+        (w for w in (16, 32, 64) if bound >> (w - 1) == 0), 8 * (bound.bit_length() // 8 + 1)
+    )
+    size = width // 8
+    nbytes = n * size
+    if width in _FIELD_CODES:
+        decode = struct.Struct(f"<{n}{_FIELD_CODES[width]}").unpack
+    else:
+
+        def decode(data: bytes) -> list[int]:
+            return [
+                int.from_bytes(data[k : k + size], "little", signed=True)
+                for k in range(0, nbytes, size)
+            ]
+
+    shifts = range(0, n * width, width)
+    packed_rows = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    packed = bias + sum(packed_rows)
+    # the first flip of each d_k takes it from +1 to -1; later flips alternate
+    steps = [-2 * r for r in packed_rows[1:]]
+    pos = math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
+    neg = 0
+    # d_2 flips on every odd step, which leaves an odd number of -1s, so the
+    # steps pair up: flip d_2 for a negative term, then the d_k the Gray code
+    # names at the even step k for a positive one
+    first = steps[0]
+    for k in range(2, 1 << (n - 1), 2):
+        packed += first
+        first = -first
+        neg += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
+        b = (k & -k).bit_length() - 1
+        step = steps[b]
+        steps[b] = -step
+        packed += step
+        pos += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
+    packed += first
+    neg += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
+    # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
+    return (pos - neg) >> (n - 1)
 
 
 def _perm_poly_ryser_int(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -286,12 +321,12 @@ def determinant(a: Matrix) -> Fraction:
 
 
 def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
-    """Exact permanent; cost 2^n, guarded by `cap`."""
+    """Exact permanent by Glynn's formula; 2^(n-1) terms, guarded by `cap`."""
     a.require_square("permanent")
     if a.rows > cap:
         raise SizeCapExceededError(f"permanent of a {a.rows}x{a.rows} matrix exceeds cap {cap}")
     rows, den = _clear_denominators(a)
-    return Fraction(_perm_ryser_int(rows), den ** a.rows)
+    return Fraction(_perm_glynn_int(rows), den ** a.rows)
 
 
 def rank(a: Matrix) -> int:
@@ -360,7 +395,7 @@ def sum_principal_permanents(a: Matrix, k: int, *, cap: int = DEFAULT_MINOR_SUM_
     total = 0
     for subset in combinations(range(a.rows), k):
         sub = [[rows[i][j] for j in subset] for i in subset]
-        total += _perm_ryser_int(sub)
+        total += _perm_glynn_int(sub)
     return Fraction(total, den**k)
 
 

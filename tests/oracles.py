@@ -1,9 +1,9 @@
 """Independent brute-force oracles and random-input generators.
 
 Everything here is deliberately naive - permutation sums, cofactor
-expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion - so
-the production algorithms are checked against code that shares nothing
-with them.
+expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion,
+Ryser's inclusion-exclusion - so the production algorithms are checked
+against code that shares nothing with them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from typing import Sequence
 
 from signconj import (
     InternalConsistencyError,
@@ -57,6 +58,40 @@ def expansion_permanent(a: Matrix) -> Fraction:
         )
 
     return rest((1 << n) - 1)
+
+
+def ryser_permanent(rows: Sequence[Sequence[int]]) -> int:
+    """Permanent by inclusion-exclusion over column subsets, walked in
+    Gray-code order so each step updates the row sums in O(n)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    sums = [0] * n
+    total = 0
+    gray = 0
+    sign = 1
+    for k in range(1, 1 << n):
+        # the bit flipped between consecutive Gray codes is the lowest set bit of k
+        j = (k & -k).bit_length() - 1
+        bit = 1 << j
+        gray ^= bit
+        col = cols[j]
+        if gray & bit:
+            for i in range(n):
+                sums[i] += col[i]
+        else:
+            for i in range(n):
+                sums[i] -= col[i]
+        sign = -sign
+        prod = 1
+        for s in sums:
+            if not s:
+                prod = 0
+                break
+            prod *= s
+        total += prod if sign > 0 else -prod
+    return total if n % 2 == 0 else -total
 
 
 def gaussian_rank(a: Matrix) -> int:

@@ -27,7 +27,7 @@ from signconj import (
     sum_principal_permanents,
     trace,
 )
-from signconj.invariants import _char_poly_int
+from signconj.invariants import _char_poly_int, _clear_denominators, _perm_glynn_int
 from oracles import (
     cofactor_determinant,
     expansion_permanent,
@@ -39,6 +39,7 @@ from oracles import (
     random_matrix,
     random_sign_vector,
     random_sparse_matrix,
+    ryser_permanent,
 )
 
 
@@ -136,6 +137,52 @@ class TestPermanent:
     def test_cap(self):
         with pytest.raises(SizeCapExceededError):
             permanent(Matrix.identity(5), cap=4)
+
+    @pytest.mark.parametrize("n", [*range(13), 16])
+    def test_matches_ryser_oracle(self, n):
+        rng = random.Random(1400 + n)
+        dense = random_matrix(rng, n, integer=True)
+        cases = [dense]
+        if n <= 12:
+            cases += [random_sparse_matrix(rng, n), random_matrix(rng, n)]
+        if n:
+            r, c = rng.randrange(n), rng.randrange(n)
+            entries = dense.entries
+            zero_row = [[0 if i == r else e for e in row] for i, row in enumerate(entries)]
+            zero_col = [[0 if j == c else e for j, e in enumerate(row)] for row in entries]
+            cases += [Matrix(zero_row, cols=n), Matrix(zero_col, cols=n)]
+        for a in cases:
+            rows, den = _clear_denominators(a)
+            expected = Fraction(ryser_permanent(rows), den**n)
+            assert permanent(a, cap=n) == expected
+            if n <= 6:
+                assert naive_permanent(a) == expected
+        assert permanent(Matrix.identity(n), cap=n) == 1
+
+    def test_matches_sympy(self):
+        rng = random.Random(1515)
+        for n in range(1, 9):
+            for a in (random_matrix(rng, n), random_sparse_matrix(rng, n, density=0.4)):
+                p = _sympy_matrix(a).per()
+                assert permanent(a) == Fraction(int(p.p), int(p.q))
+
+    @pytest.mark.parametrize(
+        "bound", [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 4 * 10**40 + 1]
+    )
+    def test_column_sum_field_width_boundaries(self, bound):
+        # The largest absolute column sum is `bound`.  The first and last
+        # columns reach +bound and -bound at d = (1, -1, -1, -1), so both
+        # extremes sit in a field at once.  The last bound has entries near
+        # 10^40, past every struct width.
+        y = bound // 4
+        x = bound - 3 * y
+        rng = random.Random(bound)
+        rows = [
+            [x if i == 0 else -y, rng.randint(-9, 9), rng.randint(-9, 9), -x if i == 0 else y]
+            for i in range(4)
+        ]
+        assert max(sum(abs(row[j]) for row in rows) for j in range(4)) == bound
+        assert _perm_glynn_int(rows) == ryser_permanent(rows)
 
 
 class TestRank:
@@ -500,3 +547,15 @@ def test_full_rank_exactly_when_determinant_nonzero(rows):
 )
 def test_char_poly_kernel_matches_faddeev(rows):
     assert _char_poly_int(rows) == faddeev_char_poly(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_permanent_kernel_matches_ryser(rows):
+    assert _perm_glynn_int(rows) == ryser_permanent(rows)
