@@ -29,6 +29,14 @@ CASES = {
         ["blockform", "--matrix", GOLDEN / "antisym4.json", "--signs", "1,-1,-1,1"],
     ),
     "invariants_int20": (0, ["invariants", "--matrix", GOLDEN / "int20.json"]),
+    # no 2^n step: the principal-sum cross-checks cost n+1 determinants
+    "verify_int20_sampled": (
+        0,
+        [
+            "verify", "--matrix", GOLDEN / "int20.json", "--samples", "1",
+            "--perm-cap", "0", "--permpoly-cap", "0", "--orbit-cap", "0",
+        ],
+    ),
     "invariants_rational12": (
         0,
         [
