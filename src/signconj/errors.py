@@ -29,10 +29,6 @@ class SizeCapExceededError(SignConjError, ValueError):
     """Input exceeds the configured size cap for an exponential-cost operation."""
 
 
-class IndexOutOfRangeError(SignConjError, ValueError):
-    """An index set mentions a position outside 1..n, or repeats one."""
-
-
 class OrderOutOfRangeError(SignConjError, ValueError):
     """A minor/permanent order k is outside 0..n."""
 

@@ -1,10 +1,9 @@
-"""Exact matrix invariants: trace, determinant, permanent, rank, principal
-minors/permanents, and the characteristic and permanental polynomials.
+"""Exact matrix invariants: trace, determinant, permanent, rank, and the
+characteristic and permanental polynomials.
 
-The exponential-cost kernels (permanent, subset sums) first clear the
-global denominator and run on plain Python ints, which is 20-50x faster
-than Fraction arithmetic and just as exact; results are rescaled back to
-rationals at the end.  The permanent is Glynn's formula, a signed sum
+Every kernel first clears the global denominator and runs on plain Python
+ints, which is 20-50x faster than Fraction arithmetic and just as exact;
+results are rescaled back to rationals at the end.  The permanent is Glynn's formula, a signed sum
 over the 2^(n-1) admissible sign vectors d with d_1 = +1, with its
 column sums packed into one int; the permanental polynomial is one
 polynomial-valued Ryser pass, so the two share no kernel.
@@ -15,19 +14,13 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
-from .errors import (
-    IndexOutOfRangeError,
-    OrderOutOfRangeError,
-    SizeCapExceededError,
-)
+from .errors import SizeCapExceededError
 
 DEFAULT_PERMANENT_CAP = 20
 DEFAULT_PERM_POLY_CAP = 12
-DEFAULT_MINOR_SUM_CAP = 16
 
 # struct codes of the signed column-sum fields _perm_glynn_int decodes natively
 _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
@@ -335,77 +328,14 @@ def rank(a: Matrix) -> int:
     return _bareiss_int(rows, a.cols)[0]
 
 
-def _validated_index_set(a: Matrix, indices: Iterable[int]) -> tuple[int, ...]:
-    picked = tuple(sorted(int(i) for i in indices))
-    n = a.rows
-    for i in picked:
-        if not 1 <= i <= n:
-            raise IndexOutOfRangeError(f"index {i} outside 1..{n}")
-    if len(set(picked)) != len(picked):
-        raise IndexOutOfRangeError(f"index set {picked} repeats a position")
-    return picked
-
-
-def _submatrix(a: Matrix, picked: tuple[int, ...]) -> Matrix:
-    return Matrix(
-        (tuple(a.entries[i - 1][j - 1] for j in picked) for i in picked), cols=len(picked)
-    )
-
-
-def principal_minor(a: Matrix, indices: Iterable[int]) -> Fraction:
-    """Determinant of the submatrix on 1-based row-and-column set `indices`.
-
-    The empty set yields 1, so the coefficient law for the characteristic
-    polynomial holds down to order 0.
-    """
-    a.require_square("principal minor")
-    return determinant(_submatrix(a, _validated_index_set(a, indices)))
-
-
-def principal_permanent(a: Matrix, indices: Iterable[int]) -> Fraction:
-    """Permanent of the submatrix on 1-based row-and-column set `indices`."""
-    a.require_square("principal permanent")
-    picked = _validated_index_set(a, indices)
-    return permanent(_submatrix(a, picked), cap=max(len(picked), DEFAULT_PERMANENT_CAP))
-
-
-def _check_order(a: Matrix, k: int, cap: int, what: str) -> None:
-    a.require_square(what)
-    if not 0 <= k <= a.rows:
-        raise OrderOutOfRangeError(f"order {k} outside 0..{a.rows}")
-    if a.rows > cap:
-        raise SizeCapExceededError(f"{what} over a {a.rows}x{a.rows} matrix exceeds cap {cap}")
-
-
-def sum_principal_minors(a: Matrix, k: int, *, cap: int = DEFAULT_MINOR_SUM_CAP) -> Fraction:
-    """Sum of all order-k principal minors (the empty minor at k=0 is 1)."""
-    _check_order(a, k, cap, "principal minor sum")
-    rows, den = _clear_denominators(a)
-    total = 0
-    for subset in combinations(range(a.rows), k):
-        sub = [[rows[i][j] for j in subset] for i in subset]
-        total += _bareiss_int(sub, k)[1]
-    return Fraction(total, den**k)
-
-
-def sum_principal_permanents(a: Matrix, k: int, *, cap: int = DEFAULT_MINOR_SUM_CAP) -> Fraction:
-    """Sum of all order-k principal permanents."""
-    _check_order(a, k, cap, "principal permanent sum")
-    rows, den = _clear_denominators(a)
-    total = 0
-    for subset in combinations(range(a.rows), k):
-        sub = [[rows[i][j] for j in subset] for i in subset]
-        total += _perm_glynn_int(sub)
-    return Fraction(total, den**k)
-
-
 def char_poly(a: Matrix) -> Polynomial:
     """Characteristic polynomial det(A - x*I), ascending coefficients.
 
     Computed by Berkowitz's division-free algorithm on the
-    denominator-cleared matrix; Faddeev-LeVerrier and the subset-sum
-    coefficient law are kept as independent cross-checks in the tests,
-    not as production paths.
+    denominator-cleared matrix.  The x^(n-k) coefficient is (-1)^(n-k)
+    times the sum of the order-k principal minors; Faddeev-LeVerrier and
+    the subset sums are test oracles, and `verify` cross-checks the
+    coefficients by interpolating det(A - x*I).
     """
     a.require_square("characteristic polynomial")
     n = a.rows

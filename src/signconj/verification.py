@@ -10,8 +10,10 @@ report alone.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .blockform import (
     antisym_block_form,
@@ -50,8 +52,6 @@ from .invariants import (
     perm_poly,
     permanent,
     rank,
-    sum_principal_minors,
-    sum_principal_permanents,
     trace,
 )
 from .orbit import DEFAULT_ENUMERATION_CAP, graph_components, orbit_size, stabilizer_elements
@@ -128,6 +128,33 @@ def _choose_vectors(n: int, samples: int | None, seed: int) -> list[SignVector]:
     ]
 
 
+def _interpolate_shifts(a: Matrix, value: Callable[[Matrix], Fraction]) -> Polynomial:
+    """value(A - x*I) as a polynomial in x, from its values at x = 0..n by
+    Newton forward differences: n+1 evaluations of `value`, sharing no code
+    with the char_poly or perm_poly kernels."""
+    n = a.rows
+    diffs = [
+        value(Matrix(
+            [[e - x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.entries)],
+            cols=n,
+        ))
+        for x in range(n + 1)
+    ]
+    # diffs[k] becomes the k-th forward difference at 0, over k!
+    for k in range(1, n + 1):
+        for x in range(n, k - 1, -1):
+            diffs[x] = (diffs[x] - diffs[x - 1]) / k
+    # Horner in the Newton basis: p = d_0 + x*(d_1 + (x-1)*(d_2 + ...))
+    coeffs = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + d_k
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += diffs[k]
+    return Polynomial(coeffs)
+
+
 def _principal_sums(poly: Polynomial, n: int) -> list[Fraction]:
     """Order-k principal sums, k = 0..n, read off det(A - x*I) or perm(A - x*I):
     (-1)^(n-k) times the coefficient of x^(n-k)."""
@@ -178,9 +205,9 @@ def verify_matrix(
         base["perm"] = permanent(a, cap=perm_cap)
     if do_permpoly:
         base["permpoly"] = perm_poly(a, cap=permpoly_cap)
-    minor_sums = [sum_principal_minors(a, k, cap=n) for k in range(n + 1)]
+    minor_sums = _principal_sums(_interpolate_shifts(a, determinant), n)
     perm_sums = (
-        [sum_principal_permanents(a, k, cap=n) for k in range(n + 1)]
+        _principal_sums(_interpolate_shifts(a, partial(permanent, cap=n)), n)
         if do_permpoly
         else None
     )

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive - permutation sums, cofactor
 expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion,
-Ryser's inclusion-exclusion - so the production algorithms are checked
-against code that shares nothing with them.
+Ryser's inclusion-exclusion, walks over principal index subsets - so
+the production algorithms are checked against routes that share nothing
+with them.  The subset sums take their route from the walk alone: each
+principal submatrix goes through the package's own int kernels.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from signconj import (
@@ -22,8 +24,8 @@ from signconj import (
     SignVector,
     admissible_sign_vectors,
     sign_conjugate,
-    sum_principal_permanents,
 )
+from signconj.invariants import _bareiss_int, _clear_denominators, _perm_glynn_int
 
 
 def naive_permanent(a: Matrix) -> Fraction:
@@ -193,13 +195,38 @@ def perm_poly_by_interpolation(a: Matrix, permanent=naive_permanent) -> Polynomi
     return lagrange_interpolate(points)
 
 
+def principal_submatrix(a: Matrix, indices: Sequence[int]) -> Matrix:
+    """The submatrix on the 1-based row-and-column set `indices`."""
+    return Matrix(
+        (tuple(a.entries[i - 1][j - 1] for j in indices) for i in indices), cols=len(indices)
+    )
+
+
+def sum_principal_minors(a: Matrix, k: int) -> Fraction:
+    """Sum of all order-k principal minors (the empty minor at k=0 is 1)."""
+    rows, den = _clear_denominators(a)
+    total = 0
+    for subset in combinations(range(a.rows), k):
+        sub = [[rows[i][j] for j in subset] for i in subset]
+        total += _bareiss_int(sub, k)[1]
+    return Fraction(total, den**k)
+
+
+def sum_principal_permanents(a: Matrix, k: int) -> Fraction:
+    """Sum of all order-k principal permanents."""
+    rows, den = _clear_denominators(a)
+    total = 0
+    for subset in combinations(range(a.rows), k):
+        sub = [[rows[i][j] for j in subset] for i in subset]
+        total += _perm_glynn_int(sub)
+    return Fraction(total, den**k)
+
+
 def perm_poly_by_principal_sums(a: Matrix) -> Polynomial:
     """perm(A - x*I) from the coefficient law: the x^(n-k) coefficient is
     (-1)^(n-k) times the sum of the order-k principal permanents (3^n)."""
     n = a.rows
-    return Polynomial(
-        (-1) ** k * sum_principal_permanents(a, n - k, cap=n) for k in range(n + 1)
-    )
+    return Polynomial((-1) ** k * sum_principal_permanents(a, n - k) for k in range(n + 1))
 
 
 def orbit_by_matrices(a: Matrix) -> tuple[Matrix, ...]:

@@ -45,8 +45,6 @@ from signconj import (
     split,
     stabilizer_elements,
     subspace_dims,
-    sum_principal_minors,
-    sum_principal_permanents,
     sym_block_form,
     sym_part,
     to_bits,
@@ -62,6 +60,8 @@ from oracles import (
     random_matrix,
     random_sign_vector,
     random_sparse_matrix,
+    sum_principal_minors,
+    sum_principal_permanents,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"

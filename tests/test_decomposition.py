@@ -24,7 +24,13 @@ from signconj import (
     subspace_dims,
     sym_part,
 )
-from oracles import random_matrix, random_sign_vector
+from oracles import (
+    random_matrix,
+    random_sign_vector,
+    random_sparse_matrix,
+    sum_principal_minors,
+    sum_principal_permanents,
+)
 
 # entry (i, j) encoded as 10i + j so masks are readable at a glance
 SYMBOLIC = Matrix([[11, 12, 13], [21, 22, 23], [31, 32, 33]])
@@ -249,33 +255,40 @@ class TestOrder2Additivity:
                 )
 
 
-def _order2_closed_form(m: Matrix, sign: int) -> Fraction:
-    """sum_{i<j} m_ii*m_jj + sign*m_ij*m_ji: the order-2 minor sum for
-    sign = -1, the order-2 permanent sum for sign = +1."""
-    e = m.entries
-    return sum(
-        (e[i][i] * e[j][j] + sign * e[i][j] * e[j][i]
-         for i in range(m.rows) for j in range(i + 1, m.rows)),
-        Fraction(0),
-    )
+def _assert_order2_matches_subset_sums(a: Matrix, c) -> None:
+    """Each additivity triple equals the oracle's walk over the 2x2
+    principal subsets of A and of the two parts, and is additive."""
+    pair = split(a, c)
+    classic = classic_split(a)
+    for triple, parts, summer in (
+        (minor2_additivity(a, c), pair, sum_principal_minors),
+        (permanent2_additivity(a, c), pair, sum_principal_permanents),
+        (classic_minor2_additivity(a), classic, sum_principal_minors),
+        (classic_permanent2_additivity(a), classic, sum_principal_permanents),
+    ):
+        assert triple == tuple(summer(m, 2) for m in (a, parts.sym, parts.antisym))
+        assert triple[0] == triple[1] + triple[2]
+
+
+class TestOrder2ClosedForms:
+    """The closed forms on cleared ints against the oracle's subset sums."""
+
+    @pytest.mark.parametrize("kind", ["rational", "integer", "sparse"])
+    def test_match_subset_sums(self, kind):
+        rng = random.Random(f"order2-{kind}")
+        for n in range(2, 10):
+            if kind == "sparse":
+                a = random_sparse_matrix(rng, n)
+            else:
+                a = random_matrix(rng, n, integer=(kind == "integer"))
+            _assert_order2_matches_subset_sums(a, random_sign_vector(rng, n))
 
 
 class TestOrder2AdditivityLarge:
-    """Order-2 sums cost O(n^2), so they run past the subset-sum cap."""
+    """Order-2 sums cost O(n^2), so they have no size cap."""
 
     @pytest.mark.parametrize("n", [17, 20])
     def test_matches_closed_form(self, n):
         rng = random.Random(n)
         a = random_matrix(rng, n)
-        c = random_sign_vector(rng, n)
-        pair = split(a, c)
-        classic = classic_split(a)
-        for triple, parts, sign in (
-            (minor2_additivity(a, c), pair, -1),
-            (permanent2_additivity(a, c), pair, 1),
-            (classic_minor2_additivity(a), classic, -1),
-            (classic_permanent2_additivity(a), classic, 1),
-        ):
-            expected = tuple(_order2_closed_form(m, sign) for m in (a, parts.sym, parts.antisym))
-            assert triple == expected
-            assert triple[0] == triple[1] + triple[2]
+        _assert_order2_matches_subset_sums(a, random_sign_vector(rng, n))

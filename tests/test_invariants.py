@@ -9,22 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signconj import (
-    IndexOutOfRangeError,
     Matrix,
     NotSquareError,
-    OrderOutOfRangeError,
     Polynomial,
     SizeCapExceededError,
     char_poly,
     determinant,
     perm_poly,
     permanent,
-    principal_minor,
-    principal_permanent,
     rank,
     sign_conjugate,
-    sum_principal_minors,
-    sum_principal_permanents,
     trace,
 )
 from signconj.invariants import _char_poly_int, _clear_denominators, _perm_glynn_int
@@ -36,10 +30,13 @@ from oracles import (
     naive_permanent,
     perm_poly_by_interpolation,
     perm_poly_by_principal_sums,
+    principal_submatrix,
     random_matrix,
     random_sign_vector,
     random_sparse_matrix,
     ryser_permanent,
+    sum_principal_minors,
+    sum_principal_permanents,
 )
 
 
@@ -232,36 +229,35 @@ class TestRank:
             assert rank(a) == _sympy_matrix(a).rank()
 
 
+def _principal_minor(a: Matrix, indices) -> Fraction:
+    return determinant(principal_submatrix(a, indices))
+
+
+def _principal_permanent(a: Matrix, indices) -> Fraction:
+    return permanent(principal_submatrix(a, indices))
+
+
 class TestPrincipalMinors:
     def test_full_set_is_determinant(self):
         a = Matrix([[1, 2], [3, 4]])
-        assert principal_minor(a, (1, 2)) == -2
-        assert principal_permanent(a, (1, 2)) == 10
+        assert _principal_minor(a, (1, 2)) == -2
+        assert _principal_permanent(a, (1, 2)) == 10
 
     def test_singletons_are_diagonal_entries(self):
         a = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         for i in range(1, 4):
-            assert principal_minor(a, (i,)) == a[i - 1, i - 1]
-            assert principal_permanent(a, (i,)) == a[i - 1, i - 1]
+            assert _principal_minor(a, (i,)) == a[i - 1, i - 1]
+            assert _principal_permanent(a, (i,)) == a[i - 1, i - 1]
 
     def test_hand_values(self):
         a = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        assert principal_minor(a, (1, 3)) == -11
-        assert principal_permanent(a, (2, 3)) == 98
+        assert _principal_minor(a, (1, 3)) == -11
+        assert _principal_permanent(a, (2, 3)) == 98
 
     def test_empty_set_is_one(self):
         a = Matrix([[1, 2], [3, 4]])
-        assert principal_minor(a, ()) == 1
-        assert principal_permanent(a, ()) == 1
-
-    def test_index_validation(self):
-        a = Matrix([[1, 2], [3, 4]])
-        with pytest.raises(IndexOutOfRangeError):
-            principal_minor(a, (0,))
-        with pytest.raises(IndexOutOfRangeError):
-            principal_minor(a, (3,))
-        with pytest.raises(IndexOutOfRangeError):
-            principal_minor(a, (1, 1))
+        assert _principal_minor(a, ()) == 1
+        assert _principal_permanent(a, ()) == 1
 
 
 class TestMinorSums:
@@ -279,17 +275,6 @@ class TestMinorSums:
         a = Matrix([[1, 2], [3, 4]])
         assert sum_principal_minors(a, 2) == -2
         assert sum_principal_permanents(a, 2) == 10
-
-    def test_order_validation(self):
-        a = Matrix([[1, 2], [3, 4]])
-        with pytest.raises(OrderOutOfRangeError):
-            sum_principal_minors(a, 3)
-        with pytest.raises(OrderOutOfRangeError):
-            sum_principal_minors(a, -1)
-
-    def test_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            sum_principal_minors(Matrix.identity(4), 2, cap=3)
 
 
 class TestCharPoly:
@@ -516,8 +501,8 @@ def test_every_principal_minor_and_permanent_preserved():
         b = sign_conjugate(a, c)
         for k in range(1, n + 1):
             for subset in combinations(range(1, n + 1), k):
-                assert principal_minor(b, subset) == principal_minor(a, subset)
-                assert principal_permanent(b, subset) == principal_permanent(a, subset)
+                assert _principal_minor(b, subset) == _principal_minor(a, subset)
+                assert _principal_permanent(b, subset) == _principal_permanent(a, subset)
 
 
 _int_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))

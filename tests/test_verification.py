@@ -7,9 +7,11 @@ import pytest
 
 from signconj import (
     Matrix,
+    Polynomial,
     RangeError,
     blockform,
     graph_components,
+    invariants,
     parse_sign_vector,
     verify_matrix,
     verification,
@@ -227,38 +229,60 @@ class TestBlockSimilarity:
 
 
 class TestPrincipalSums:
-    """The per-vector principal sums are read off the characteristic and
-    permanental polynomials of each conjugate; the subset sums run once,
-    on A itself."""
+    """The independent side of the principal-sum checks interpolates
+    det(A - x*I) and perm(A - x*I) from n+1 shifted matrices; each
+    conjugate's sums are read off its own char_poly and perm_poly."""
 
     A = Matrix([[1, 2, 0, "1/2"], [3, 4, 5, 0], [0, 6, 7, 1], [2, 0, "-1/3", 1]])
 
-    @pytest.mark.parametrize("name", ["sum_principal_minors", "sum_principal_permanents"])
-    def test_subset_sums_run_only_on_a(self, monkeypatch, name):
-        real = getattr(verification, name)
+    def test_helper_evaluates_only_shifted_matrices(self, monkeypatch):
+        real = verification._interpolate_shifts
         seen = []
 
-        def spy(m, k, **kwargs):
-            seen.append(m)
-            return real(m, k, **kwargs)
+        def spy(m, value):
+            def recorded(shifted):
+                seen.append(shifted)
+                return value(shifted)
 
-        monkeypatch.setattr(verification, name, spy)
+            return real(m, recorded)
+
+        monkeypatch.setattr(verification, "_interpolate_shifts", spy)
         assert verify_matrix(self.A).passed
-        assert len(seen) == self.A.rows + 1
-        assert all(m is self.A for m in seen)
+        n = self.A.rows
+        shifted = [self.A + Matrix.identity(n) * -x for x in range(n + 1)]
+        # one pass for the minor sums, one for the permanent sums
+        assert seen == shifted + shifted
 
-    @pytest.mark.parametrize(
-        "name, check",
-        [
-            ("sum_principal_minors", "minor_sum_invariant"),
-            ("sum_principal_permanents", "permanent_sum_invariant"),
-        ],
-    )
+    @pytest.mark.parametrize("side, check", [
+        ("determinant", "minor_sum_invariant"),
+        ("permanent", "permanent_sum_invariant"),
+    ])
     @pytest.mark.parametrize("samples", [None, 3])
-    def test_shifted_subset_sum_fails(self, monkeypatch, name, check, samples):
-        real = getattr(verification, name)
-        monkeypatch.setattr(
-            verification, name, lambda m, k, **kw: real(m, k, **kw) + (1 if k == 2 else 0)
-        )
+    def test_shifted_helper_output_fails(self, monkeypatch, side, check, samples):
+        real = verification._interpolate_shifts
+
+        def shifted(m, value):
+            poly = real(m, value)
+            if (value is verification.determinant) != (side == "determinant"):
+                return poly
+            # moves the order-2 sum, the x^(n-2) coefficient
+            return poly + Polynomial([0] * (m.rows - 2) + [1])
+
+        monkeypatch.setattr(verification, "_interpolate_shifts", shifted)
         report = verify_matrix(self.A, samples=samples)
         assert {c.name for c in report.failures()} == {check}
+
+    @pytest.mark.parametrize("kernel, check", [
+        ("_char_poly_int", "minor_sum_invariant"),
+        ("_perm_poly_ryser_int", "permanent_sum_invariant"),
+    ])
+    def test_perturbed_polynomial_kernel_fails(self, monkeypatch, kernel, check):
+        real = getattr(invariants, kernel)
+
+        def perturbed(rows):
+            coeffs = real(rows)
+            return [coeffs[0] + 1] + coeffs[1:]
+
+        monkeypatch.setattr(invariants, kernel, perturbed)
+        report = verify_matrix(self.A)
+        assert check in {c.name for c in report.failures()}
