@@ -16,6 +16,7 @@ from signconj.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
+SIGNS12 = "1,-1,1,1,-1,-1,1,-1,1,-1,-1,1"
 
 CASES = {
     "verify_verify6": (0, ["verify", "--matrix", FIXTURES / "verify6.json"]),
@@ -44,6 +45,23 @@ CASES = {
             "--perm-cap", "20", "--permpoly-cap", "12",
         ],
     ),
+    # exhaustive verify on a dense rational matrix: conjugates, half-sums,
+    # block forms and the orbit pass all carry denominators
+    "verify_rational7": (0, ["verify", "--matrix", GOLDEN / "rational7.json"]),
+    "apply_rational12": (
+        0,
+        ["apply", "--matrix", GOLDEN / "rational12.json", "--signs", SIGNS12],
+    ),
+    "decompose_signs_rational12": (
+        0,
+        ["decompose", "--matrix", GOLDEN / "rational12.json", "--signs", SIGNS12],
+    ),
+    # (A + A^T)/2 and (A - A^T)/2 have denominators that A does not
+    "decompose_classic_rational12": (
+        0,
+        ["decompose", "--matrix", GOLDEN / "rational12.json", "--classic"],
+    ),
+    "orbit_sparse_rational8": (0, ["orbit", "--matrix", GOLDEN / "sparse_rational8.json"]),
 }
 
 
