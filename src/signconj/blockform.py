@@ -8,6 +8,7 @@ same permutation: list the +1 positions in order, then the -1 positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,27 +93,36 @@ def block_permutation(c: SignVector) -> Permutation:
 
 
 def _pick(a: Matrix, row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> Matrix:
+    nums = a.nums
     return Matrix(
-        (tuple(a.entries[i - 1][j - 1] for j in col_ids) for i in row_ids),
+        (tuple(nums[i - 1][j - 1] for j in col_ids) for i in row_ids),
         cols=len(col_ids),
+        den=a.den,
     )
+
+
+def _over(m: Matrix, den: int) -> list[tuple[int, ...]]:
+    """The rows of m as numerators over den, a multiple of m.den."""
+    k = den // m.den
+    return [tuple(k * e for e in row) for row in m.nums]
 
 
 def assemble_diag(d: Matrix, e: Matrix) -> Matrix:
     """Block-diagonal matrix diag(d, e); either block may be 0x0."""
-    n = d.rows + e.rows
-    rows = [tuple(row) + (0,) * e.cols for row in d.entries]
-    rows += [(0,) * d.cols + tuple(row) for row in e.entries]
-    return Matrix(rows, cols=n)
+    den = math.lcm(d.den, e.den)
+    rows = [row + (0,) * e.cols for row in _over(d, den)]
+    rows += [(0,) * d.cols + row for row in _over(e, den)]
+    return Matrix(rows, cols=d.rows + e.rows, den=den)
 
 
 def assemble_antidiag(f: Matrix, g: Matrix) -> Matrix:
     """Block matrix with zero diagonal blocks and f, g on the anti-diagonal;
     f is r x (n-r) and g is (n-r) x r."""
     r, s = f.rows, g.rows
-    rows = [(0,) * r + tuple(row) for row in f.entries]
-    rows += [tuple(row) + (0,) * s for row in g.entries]
-    return Matrix(rows, cols=r + s)
+    den = math.lcm(f.den, g.den)
+    rows = [(0,) * r + row for row in _over(f, den)]
+    rows += [row + (0,) * s for row in _over(g, den)]
+    return Matrix(rows, cols=r + s, den=den)
 
 
 def _gather(a: Matrix, c: SignVector) -> tuple[IndexPartition, Permutation, Matrix]:

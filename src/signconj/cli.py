@@ -31,22 +31,12 @@ from .orbit import DEFAULT_ENUMERATION_CAP
 from .verification import CheckOutcome, _gather_by_permutation, verify_matrix
 
 
-def _scalar_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _matrix_json(a: Matrix) -> list[list[str]]:
-    return [[_scalar_str(e) for e in row] for row in a.entries]
-
-
 def _poly_json(p: Polynomial) -> list[str]:
-    return [_scalar_str(c) for c in p.coefficients]
+    return [str(c) for c in p.coefficients]
 
 
 def _matrix_digest(a: Matrix) -> str:
-    canon = f"{a.rows};{a.cols};" + ";".join(
-        ",".join(_scalar_str(e) for e in row) for row in a.entries
-    )
+    canon = f"{a.rows};{a.cols};" + ";".join(",".join(row) for row in a.text_rows())
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -154,7 +144,7 @@ def _cmd_apply(args) -> int:
     report = {
         "command": "apply",
         "inputs": _inputs_block(args, a),
-        "results": {"conjugated": _matrix_json(conjugated)},
+        "results": {"conjugated": conjugated.text_rows()},
     }
     return _emit(report, failed=False)
 
@@ -163,14 +153,14 @@ def _cmd_invariants(args) -> int:
     a = load_matrix(args.matrix, args.format)
     a.require_square("invariants")
     results: dict = {
-        "trace": _scalar_str(invariants.trace(a)),
-        "determinant": _scalar_str(invariants.determinant(a)),
+        "trace": str(invariants.trace(a)),
+        "determinant": str(invariants.determinant(a)),
         "rank": invariants.rank(a),
         "char_poly": _poly_json(invariants.char_poly(a)),
     }
     omitted = {}
     if a.rows <= args.perm_cap:
-        results["permanent"] = _scalar_str(invariants.permanent(a, cap=args.perm_cap))
+        results["permanent"] = str(invariants.permanent(a, cap=args.perm_cap))
     else:
         omitted["permanent"] = f"n={a.rows} exceeds --perm-cap {args.perm_cap}"
     if a.rows <= args.permpoly_cap:
@@ -223,8 +213,8 @@ def _cmd_decompose(args) -> int:
         "inputs": _inputs_block(args, a),
         "results": {
             "mode": mode,
-            "sym_part": _matrix_json(pair.sym),
-            "antisym_part": _matrix_json(pair.antisym),
+            "sym_part": pair.sym.text_rows(),
+            "antisym_part": pair.antisym.text_rows(),
         },
         "checks": [_check_json(ch) for ch in checks],
     }
@@ -254,9 +244,9 @@ def _cmd_blockform(args) -> int:
                 "plus_indices": list(form.partition.plus_indices),
                 "minus_indices": list(form.partition.minus_indices),
                 "permutation": list(form.permutation.images),
-                "plus_block": _matrix_json(form.plus_block),
-                "minus_block": _matrix_json(form.minus_block),
-                "conjugated": _matrix_json(form.conjugated),
+                "plus_block": form.plus_block.text_rows(),
+                "minus_block": form.minus_block.text_rows(),
+                "conjugated": form.conjugated.text_rows(),
             }
         )
         gathered = _gather_by_permutation(a, form.permutation)
@@ -284,9 +274,9 @@ def _cmd_blockform(args) -> int:
                 "plus_indices": list(form.partition.plus_indices),
                 "minus_indices": list(form.partition.minus_indices),
                 "permutation": list(form.permutation.images),
-                "upper_block": _matrix_json(form.upper_block),
-                "lower_block": _matrix_json(form.lower_block),
-                "conjugated": _matrix_json(form.conjugated),
+                "upper_block": form.upper_block.text_rows(),
+                "lower_block": form.lower_block.text_rows(),
+                "conjugated": form.conjugated.text_rows(),
             }
         )
         gathered = _gather_by_permutation(a, form.permutation)
@@ -327,7 +317,7 @@ def _cmd_orbit(args) -> int:
         "stabilizer_size": rep.stabilizer_size,
     }
     if rep.enumerated is not None:
-        results["enumerated_orbit"] = [_matrix_json(m) for m in rep.enumerated]
+        results["enumerated_orbit"] = [m.text_rows() for m in rep.enumerated]
         results["stabilizer"] = [str(c) for c in orbit.stabilizer_elements(a, cap=args.orbit_cap)]
     else:
         results["enumeration"] = f"skipped: n={a.rows} exceeds --orbit-cap {args.orbit_cap}"

@@ -1,16 +1,22 @@
 """Exact matrix and sign-vector types and the sign-conjugation map.
 
-Scalars are `fractions.Fraction` throughout: every identity the library
-checks is an exact equality, so nothing here ever touches floating point.
+A `Matrix` stores its exact rational table in one cleared form, int
+numerators over one common denominator, and every matrix operation is
+int arithmetic on that form; scalars handed in or out are ints or
+`fractions.Fraction`.  Every identity the library checks is an exact
+equality, so nothing here ever touches floating point.
 Indices are 1-based in documentation and error messages; storage is the
 usual 0-based Python layout.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -56,14 +62,24 @@ def as_scalar(value: ScalarLike) -> Fraction:
 class Matrix:
     """Immutable dense matrix of exact rationals; rectangular shapes allowed.
 
+    The table is stored cleared: `nums` holds int rows and `den` is one
+    positive int, so entry (i, j) is nums[i][j] / den.  The pair is kept in
+    lowest terms (gcd(den, every numerator) = 1, and den = 1 for the zero
+    matrix), which makes it canonical: equal matrices have equal `nums`
+    and `den`, and every operation below is int arithmetic.
+
     Squareness is a per-operation precondition, not a type invariant, so
     the same type carries the rectangular blocks of the block-form module.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
 
-    def __init__(self, rows: Iterable[Iterable[ScalarLike]], *, cols: int | None = None):
-        table = tuple(tuple(as_scalar(e) for e in row) for row in rows)
+    def __init__(
+        self, rows: Iterable[Iterable[ScalarLike]], *, cols: int | None = None, den: int = 1
+    ):
+        """Entry (i, j) is rows[i][j] / den.  Int entries are taken as they
+        are; any other entry goes through `as_scalar`."""
+        table = tuple(map(tuple, rows))
         if table:
             width = len(table[0])
             if any(len(row) != width for row in table):
@@ -72,9 +88,27 @@ class Matrix:
                 raise DimensionMismatchError(f"declared {cols} columns, rows have {width}")
         else:
             width = cols if cols is not None else 0
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        if set(map(type, chain.from_iterable(table))) - {int}:
+            table = tuple(
+                tuple(e if type(e) is int else as_scalar(e) for e in row) for row in table
+            )
+            common = math.lcm(*(e.denominator for row in table for e in row))
+            table = tuple(
+                tuple(e.numerator * (common // e.denominator) for e in row) for row in table
+            )
+            den *= common
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(table))
+            if g != 1:
+                table = tuple(tuple(e // g for e in row) for row in table)
+                den //= g
         object.__setattr__(self, "rows", len(table))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "nums", table)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Matrix is immutable")
@@ -96,6 +130,30 @@ class Matrix:
         )
 
     @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as Fractions: a read-only view, built on first use."""
+        if self._entries is None:
+            den = self.den
+            view = tuple(tuple(Fraction(e, den) for e in row) for row in self.nums)
+            object.__setattr__(self, "_entries", view)
+        return self._entries
+
+    def text_rows(self) -> list[list[str]]:
+        """Each entry as exact text: 'p/q' in lowest terms, or a bare
+        integer when its denominator is 1 (the form of str(Fraction))."""
+        den = self.den
+        if den == 1:
+            return [list(map(str, row)) for row in self.nums]
+        out = []
+        for row in self.nums:
+            texts = []
+            for e in row:
+                g = math.gcd(e, den)
+                texts.append(str(e // g) if g == den else f"{e // g}/{den // g}")
+            out.append(texts)
+        return out
+
+    @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -105,10 +163,13 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def transpose(self) -> Matrix:
-        return Matrix(zip(*self.entries), cols=self.rows) if self.rows else Matrix((), cols=0)
+        # an empty zip would lose the column count of an r x 0 or 0 x c matrix
+        return Matrix(
+            list(zip(*self.nums)) or [()] * self.cols, cols=self.rows, den=self.den
+        )
 
     def __add__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
@@ -117,20 +178,31 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
+        den = math.lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
         return Matrix(
-            (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            (
+                tuple(a * k1 + b * k2 for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.nums, other.nums)
+            ),
             cols=self.cols,
+            den=den,
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self.__add__(-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix((tuple(-e for e in row) for row in self.entries), cols=self.cols)
+        return Matrix((tuple(-e for e in row) for row in self.nums), cols=self.cols, den=self.den)
 
     def __mul__(self, scalar: ScalarLike) -> Matrix:
         k = as_scalar(scalar)
-        return Matrix((tuple(k * e for e in row) for row in self.entries), cols=self.cols)
+        p = k.numerator
+        return Matrix(
+            (tuple(p * e for e in row) for row in self.nums),
+            cols=self.cols,
+            den=self.den * k.denominator,
+        )
 
     __rmul__ = __mul__
 
@@ -141,22 +213,25 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.transpose().entries
+        cols = list(zip(*other.nums)) or [()] * other.cols
         return Matrix(
-            (tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries),
+            (tuple(sum(map(mul, row, col)) for col in cols) for row in self.nums),
             cols=other.cols,
+            den=self.den * other.den,
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.den, self.nums) == (
+            other.rows, other.cols, other.den, other.nums
+        )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+        body = ", ".join("[" + ", ".join(row) + "]" for row in self.text_rows())
         return f"Matrix([{body}])"
 
 
@@ -280,9 +355,10 @@ def sign_conjugate(a: Matrix, c: SignVector) -> Matrix:
     return Matrix(
         (
             tuple(e if ci == cj else -e for e, cj in zip(row, c.signs))
-            for row, ci in zip(a.entries, c.signs)
+            for row, ci in zip(a.nums, c.signs)
         ),
         cols=a.cols,
+        den=a.den,
     )
 
 

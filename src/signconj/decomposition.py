@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .core import Matrix, SignVector, sign_conjugate
 from .errors import DimensionMismatchError, OrderOutOfRangeError, RangeError
-from .invariants import _clear_denominators
 
 HALF = Fraction(1, 2)
 
@@ -45,9 +44,10 @@ def _masked(a: Matrix, c: SignVector, keep: int) -> Matrix:
     return Matrix(
         (
             tuple(e if ci * cj == keep else 0 for e, cj in zip(row, c.signs))
-            for row, ci in zip(a.entries, c.signs)
+            for row, ci in zip(a.nums, c.signs)
         ),
         cols=a.cols,
+        den=a.den,
     )
 
 
@@ -100,15 +100,15 @@ def subspace_dims(n: int, r: int) -> tuple[int, int]:
 
 
 def _order2_sum(m: Matrix, sign: int) -> Fraction:
-    """sum_{i<j} m_ii*m_jj + sign*m_ij*m_ji on the denominator-cleared ints:
+    """sum_{i<j} m_ii*m_jj + sign*m_ij*m_ji on the cleared ints m.nums:
     the order-2 principal minor sum for sign = -1, the permanent sum for +1."""
-    rows, den = _clear_denominators(m)
+    rows = m.nums
     total = 0
     for i, row in enumerate(rows):
         d = row[i]
         for j in range(i + 1, len(rows)):
             total += d * rows[j][j] + sign * row[j] * rows[j][i]
-    return Fraction(total, den * den)
+    return Fraction(total, m.den * m.den)
 
 
 def _order2_triple(a: Matrix, pair: DecompositionPair, sign: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -1,9 +1,11 @@
 """Exact matrix invariants: trace, determinant, permanent, rank, and the
 characteristic and permanental polynomials.
 
-Every kernel first clears the global denominator and runs on plain Python
-ints, which is 20-50x faster than Fraction arithmetic and just as exact;
-results are rescaled back to rationals at the end.  The permanent is Glynn's formula, a signed sum
+Every kernel runs on a matrix's stored cleared table, int numerators
+`a.nums` over the common denominator `a.den`, with plain Python int
+arithmetic, which is 20-50x faster than Fraction arithmetic and just as
+exact; results are rescaled back to rationals at the end.  The
+permanent is Glynn's formula, a signed sum
 over the 2^(n-1) admissible sign vectors d with d_1 = +1, with its
 column sums packed into one int; the permanental polynomial is one
 polynomial-valued Ryser pass, so the two share no kernel.
@@ -114,16 +116,6 @@ class Polynomial:
         for sign, body in terms[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
-    """Return (den*A as int rows, den) where den is the lcm of all denominators."""
-    den = 1
-    for row in a.entries:
-        for e in row:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-    rows = [[e.numerator * (den // e.denominator) for e in row] for row in a.entries]
-    return rows, den
 
 
 def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
@@ -243,7 +235,7 @@ def _perm_poly_ryser_int(rows: Sequence[Sequence[int]]) -> list[int]:
     return total if n % 2 == 0 else [-c for c in total]
 
 
-def _bareiss_int(rows: list[list[int]], cols: int) -> tuple[int, int]:
+def _bareiss_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
     """Rank and determinant of an integer matrix by fraction-free elimination.
 
     Columns without a pivot are skipped; every update only reads the pivot
@@ -251,7 +243,7 @@ def _bareiss_int(rows: list[list[int]], cols: int) -> tuple[int, int]:
     The determinant is the last pivot, signed by the row swaps, when the
     matrix is square of full rank, and 0 otherwise (1 for the 0x0 matrix).
     """
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     n = len(m)
     r = 0
     prev = 1
@@ -278,7 +270,7 @@ def _bareiss_int(rows: list[list[int]], cols: int) -> tuple[int, int]:
     return r, (sign * prev if r == n == cols else 0)
 
 
-def _char_poly_int(rows: list[list[int]]) -> list[int]:
+def _char_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
     """Ascending coefficients of det(x*I - N) for an integer matrix N.
 
     Berkowitz's division-free algorithm.  Step r extends the descending
@@ -303,14 +295,13 @@ def _char_poly_int(rows: list[list[int]]) -> list[int]:
 def trace(a: Matrix) -> Fraction:
     """Sum of the diagonal entries."""
     a.require_square("trace")
-    return sum((a.entries[i][i] for i in range(a.rows)), Fraction(0))
+    return Fraction(sum(a.nums[i][i] for i in range(a.rows)), a.den)
 
 
 def determinant(a: Matrix) -> Fraction:
     """Exact determinant via fraction-free elimination on the cleared matrix."""
     a.require_square("determinant")
-    rows, den = _clear_denominators(a)
-    return Fraction(_bareiss_int(rows, a.rows)[1], den ** a.rows)
+    return Fraction(_bareiss_int(a.nums, a.rows)[1], a.den ** a.rows)
 
 
 def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
@@ -318,14 +309,12 @@ def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
     a.require_square("permanent")
     if a.rows > cap:
         raise SizeCapExceededError(f"permanent of a {a.rows}x{a.rows} matrix exceeds cap {cap}")
-    rows, den = _clear_denominators(a)
-    return Fraction(_perm_glynn_int(rows), den ** a.rows)
+    return Fraction(_perm_glynn_int(a.nums), a.den ** a.rows)
 
 
 def rank(a: Matrix) -> int:
     """Rank over the rationals by fraction-free elimination on the cleared matrix."""
-    rows, _ = _clear_denominators(a)
-    return _bareiss_int(rows, a.cols)[0]
+    return _bareiss_int(a.nums, a.cols)[0]
 
 
 def char_poly(a: Matrix) -> Polynomial:
@@ -339,8 +328,8 @@ def char_poly(a: Matrix) -> Polynomial:
     """
     a.require_square("characteristic polynomial")
     n = a.rows
-    rows, den = _clear_denominators(a)
-    monic = _char_poly_int(rows)
+    den = a.den
+    monic = _char_poly_int(a.nums)
     sign = -1 if n % 2 else 1
     return Polynomial(sign * Fraction(monic[k], den ** (n - k)) for k in range(n + 1))
 
@@ -357,6 +346,6 @@ def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"permanental polynomial of a {n}x{n} matrix exceeds cap {cap}")
-    rows, den = _clear_denominators(a)
-    coeffs = _perm_poly_ryser_int(rows)
+    den = a.den
+    coeffs = _perm_poly_ryser_int(a.nums)
     return Polynomial(Fraction(coeffs[k] * den**k, den**n) for k in range(n + 1))

@@ -63,10 +63,11 @@ def graph_components(a: Matrix) -> ComponentLabeling:
     """Union-find over the symmetric nonzero pattern of a square matrix."""
     a.require_square("graph components")
     n = a.rows
+    nums = a.nums
     uf = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
-            if a.entries[i][j] or a.entries[j][i]:
+            if nums[i][j] or nums[j][i]:
                 uf.union(i, j)
     ids: dict[int, int] = {}
     labels = []
@@ -82,11 +83,12 @@ def _edge_masks(a: Matrix) -> list[int]:
     """masks[v] has bit e set when the e-th nonzero off-diagonal pair
     {i, j} (i < j, row-major) touches vertex v."""
     n = a.rows
+    nums = a.nums
     masks = [0] * n
     bit = 1
     for i in range(n):
         for j in range(i + 1, n):
-            if a.entries[i][j] or a.entries[j][i]:
+            if nums[i][j] or nums[j][i]:
                 masks[i] |= bit
                 masks[j] |= bit
                 bit <<= 1

@@ -71,9 +71,7 @@ def format_value(value) -> str:
     if isinstance(value, Polynomial):
         return "[" + ", ".join(str(c) for c in value.coefficients) + "]"
     if isinstance(value, Matrix):
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in row) for row in value.entries
-        ) + "]"
+        return "[" + "; ".join(", ".join(row) for row in value.text_rows()) + "]"
     if isinstance(value, SignVector):
         return str(value)
     if isinstance(value, (tuple, list)):
@@ -118,25 +116,32 @@ class VerificationReport:
 
 
 def _choose_vectors(n: int, samples: int | None, seed: int) -> list[SignVector]:
+    """Every admissible vector, or `samples` distinct ones (16 by default)
+    drawn from a seeded stream; a repeated draw is skipped, and the draw
+    stops early once all 2^(n-1) vectors are in."""
     if samples is None and n <= EXHAUSTIVE_MAX_N:
         return list(admissible_sign_vectors(n))
-    count = samples if samples is not None else 16
+    count = min(samples if samples is not None else 16, 1 << (n - 1))
     rng = random.Random(seed)
-    return [
-        SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])
-        for _ in range(count)
-    ]
+    chosen: dict[SignVector, None] = {}
+    while len(chosen) < count:
+        chosen[SignVector([1] + [rng.choice((1, -1)) for _ in range(n - 1)])] = None
+    return list(chosen)
 
 
 def _interpolate_shifts(a: Matrix, value: Callable[[Matrix], Fraction]) -> Polynomial:
     """value(A - x*I) as a polynomial in x, from its values at x = 0..n by
     Newton forward differences: n+1 evaluations of `value`, sharing no code
     with the char_poly or perm_poly kernels."""
-    n = a.rows
+    n, den = a.rows, a.den
     diffs = [
         value(Matrix(
-            [[e - x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.entries)],
+            [
+                [e - x * den if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(a.nums)
+            ],
             cols=n,
+            den=den,
         ))
         for x in range(n + 1)
     ]
@@ -165,7 +170,7 @@ def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
     """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of
     both the index gather and the blocks blockform returns."""
     ids = range(1, len(p) + 1)
-    return Matrix([[a.entries[p(i) - 1][p(j) - 1] for j in ids] for i in ids])
+    return Matrix([[a.nums[p(i) - 1][p(j) - 1] for j in ids] for i in ids], den=a.den)
 
 
 def verify_matrix(
@@ -233,8 +238,8 @@ def verify_matrix(
         p = signature_matrix(c)
         check("signature_matrix_self_inverse").record(p @ p, identity, label)
         check("diagonal_preserved").record(
-            tuple(conj.entries[i][i] for i in range(n)),
-            tuple(a.entries[i][i] for i in range(n)),
+            tuple(conj[i, i] for i in range(n)),
+            tuple(a[i, i] for i in range(n)),
             label,
         )
         check("involution").record(sign_conjugate(conj, c), a, label)
@@ -330,16 +335,15 @@ def verify_matrix(
     if n <= orbit_cap:
         # one brute-force pass over every conjugate, in the orders the library
         # uses: fixing vectors +1-first, distinct conjugates by first occurrence.
-        # A conjugate only negates entries, so its denominators are A's own and
-        # its signed numerators identify it.
-        numerators = [[e.numerator for e in row] for row in a.entries]
-        own_key = tuple(e for row in numerators for e in row)
+        # A conjugate only negates entries, so it keeps A's den and its
+        # signed numerators, read straight off a.nums, identify it.
+        own_key = tuple(e for row in a.nums for e in row)
         fixing = []
         distinct: dict[tuple[int, ...], Matrix] = {}
         for c in admissible_sign_vectors(n):
             key = tuple(
                 e if ci == cj else -e
-                for ci, row in zip(c.signs, numerators)
+                for ci, row in zip(c.signs, a.nums)
                 for cj, e in zip(c.signs, row)
             )
             if key == own_key:

@@ -25,7 +25,7 @@ from signconj import (
     admissible_sign_vectors,
     sign_conjugate,
 )
-from signconj.invariants import _bareiss_int, _clear_denominators, _perm_glynn_int
+from signconj.invariants import _bareiss_int, _perm_glynn_int
 
 
 def naive_permanent(a: Matrix) -> Fraction:
@@ -204,7 +204,7 @@ def principal_submatrix(a: Matrix, indices: Sequence[int]) -> Matrix:
 
 def sum_principal_minors(a: Matrix, k: int) -> Fraction:
     """Sum of all order-k principal minors (the empty minor at k=0 is 1)."""
-    rows, den = _clear_denominators(a)
+    rows, den = a.nums, a.den
     total = 0
     for subset in combinations(range(a.rows), k):
         sub = [[rows[i][j] for j in subset] for i in subset]
@@ -214,7 +214,7 @@ def sum_principal_minors(a: Matrix, k: int) -> Fraction:
 
 def sum_principal_permanents(a: Matrix, k: int) -> Fraction:
     """Sum of all order-k principal permanents."""
-    rows, den = _clear_denominators(a)
+    rows, den = a.nums, a.den
     total = 0
     for subset in combinations(range(a.rows), k):
         sub = [[rows[i][j] for j in subset] for i in subset]

@@ -1,5 +1,6 @@
 """Core types and the sign-conjugation map."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,10 @@ from signconj import (
     sign_conjugate,
     signature_matrix,
 )
+from signconj import core, verification
+from signconj.blockform import antisym_block_form, sym_block_form
+from signconj.decomposition import antisym_part, sym_part
+from signconj.invariants import determinant, permanent
 from oracles import permutation_matrix
 
 signs_st = st.integers(1, 5).flatmap(
@@ -240,3 +245,141 @@ class TestSignConjugation:
         a, c = Matrix(rows), SignVector(signs)
         b = a.transpose()
         assert sign_conjugate(a @ b, c) == sign_conjugate(a, c) @ sign_conjugate(b, c)
+
+
+def table_pair_st(max_side=4):
+    """(cols, rows, other): two rational tables of one shape, either side 0..max_side."""
+    return st.tuples(st.integers(0, max_side), st.integers(0, max_side)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[1]),
+            *[
+                st.lists(
+                    st.lists(scalar_st, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                )
+            ] * 2,
+        )
+    )
+
+
+class TestCanonicalForm:
+    """A matrix is stored as int rows `nums` over one `den` in lowest terms,
+    so every route to the same rational table stores the same ints."""
+
+    @given(table_pair_st(), st.integers(1, 6), scalar_st.filter(bool))
+    def test_every_route_stores_the_same_ints(self, data, extra, k):
+        cols, rows, other = data
+        a = Matrix(rows, cols=cols)
+        b = Matrix(other, cols=cols)
+        den = math.lcm(*(e.denominator for row in rows for e in row)) * extra
+        routes = [
+            Matrix([[f"{e.numerator}/{e.denominator}" for e in row] for row in rows], cols=cols),
+            Matrix([[int(e * den) for e in row] for row in rows], cols=cols, den=den),
+            (a + b) - b,
+            a @ Matrix.identity(cols),
+            (a * k) * (1 / k),
+        ]
+        for m in routes:
+            assert m == a
+            assert (m.rows, m.cols, m.nums, m.den, hash(m)) == (
+                a.rows, a.cols, a.nums, a.den, hash(a)
+            )
+        assert a.entries == tuple(map(tuple, rows))
+        assert a.den == math.lcm(*(e.denominator for row in a.entries for e in row))
+        assert all(
+            a[i, j] == Fraction(a.nums[i][j], a.den)
+            for i in range(a.rows)
+            for j in range(a.cols)
+        )
+
+    @pytest.mark.parametrize("rows, cols, shape", [
+        ([], 0, (0, 0)),
+        ([[], [], []], 0, (3, 0)),
+        ([], 3, (0, 3)),
+    ])
+    def test_empty_shapes(self, rows, cols, shape):
+        for den in (1, 6):
+            m = Matrix(rows, cols=cols, den=den)
+            assert ((m.rows, m.cols), m.nums, m.den) == (shape, tuple(map(tuple, rows)), 1)
+            assert m.entries == m.nums
+            assert (m.transpose().rows, m.transpose().cols) == shape[::-1]
+            assert m @ Matrix.identity(shape[1]) == m
+
+    def test_zero_matrix_has_den_one(self):
+        assert Matrix([[0, 0], [0, 0]], den=12).den == 1
+        assert Matrix([["0/5", Fraction(0, 3)]]).den == 1
+        third = Matrix([["1/3", "2/3"]])
+        difference = third - third
+        assert (difference.nums, difference.den) == (((0, 0),), 1)
+        assert difference == Matrix.zero(1, 2)
+
+    def test_den_argument_is_reduced(self):
+        m = Matrix([[2, -4], [6, 8]], den=12)
+        assert (m.nums, m.den) == (((1, -2), (3, 4)), 6)
+        assert m == Matrix([["1/6", "-1/3"], ["1/2", "2/3"]])
+        assert m[0, 1] == Fraction(-1, 3)
+
+    @pytest.mark.parametrize("den", [0, -2, True, 1.0, "2"])
+    def test_den_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError):
+            Matrix([[1]], den=den)
+
+    def test_text_rows_read_the_ints(self):
+        m = Matrix([["-3/4", 2, 0], ["1/2", "-5", "6/4"]])
+        assert m.den == 4
+        assert m.text_rows() == [["-3/4", "2", "0"], ["1/2", "-5", "3/2"]]
+        assert Matrix([[1, -2]]).text_rows() == [["1", "-2"]]
+        assert repr(m) == "Matrix([[-3/4, 2, 0], [1/2, -5, 3/2]])"
+        assert m.text_rows() == [[str(e) for e in row] for row in m.entries]
+
+
+class TestNoEntryCoercion:
+    """Results of Matrix operations are built from int numerators, so none
+    of these sends an entry through `core.as_scalar`.  (Polynomial
+    coefficients, which `_interpolate_shifts` returns, stay Fractions and
+    are outside this check.)"""
+
+    A = Matrix([["1/2", 2, 0, "-3/4"], [3, "5/6", 1, 0], [0, "-7/3", 4, 1], ["2/9", 0, -1, "1/5"]])
+    B = Matrix([[1, "1/3", 0, 2], ["-1/2", 0, 1, 1], [0, 4, "2/7", 0], [1, 0, 0, -1]])
+    C = SignVector((1, -1, 1, -1))
+    FIXED = sym_part(A, C)
+    NEGATED = antisym_part(A, C)
+
+    OPERATIONS = {
+        "sign_conjugate": lambda a, b, c: sign_conjugate(a, c),
+        "conjugate_by_signature": lambda a, b, c: conjugate_by_signature(a, c),
+        "add": lambda a, b, c: a + b,
+        "sub": lambda a, b, c: a - b,
+        "matmul": lambda a, b, c: a @ b,
+        "transpose": lambda a, b, c: a.transpose(),
+        "sym_part": lambda a, b, c: sym_part(a, c),
+        "antisym_part": lambda a, b, c: antisym_part(a, c),
+        "sym_block_form": lambda a, b, c: sym_block_form(TestNoEntryCoercion.FIXED, c),
+        "antisym_block_form": lambda a, b, c: antisym_block_form(TestNoEntryCoercion.NEGATED, c),
+        "interpolate_shifts_det": lambda a, b, c: verification._interpolate_shifts(a, determinant),
+        "interpolate_shifts_perm": lambda a, b, c: verification._interpolate_shifts(a, permanent),
+    }
+
+    @pytest.fixture
+    def coerced(self, monkeypatch):
+        seen = []
+        real = core.as_scalar
+
+        def spy(value):
+            seen.append(value)
+            return real(value)
+
+        monkeypatch.setattr(core, "as_scalar", spy)
+        return seen
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    def test_no_entry_goes_through_as_scalar(self, coerced, name):
+        result = self.OPERATIONS[name](self.A, self.B, self.C)
+        assert result is not None
+        assert coerced == []
+
+    def test_scalar_product_coerces_only_the_scalar(self, coerced):
+        half = self.A * "1/2"
+        assert coerced == ["1/2"]
+        assert half.entries == tuple(tuple(e / 2 for e in row) for row in self.A.entries)

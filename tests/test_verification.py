@@ -7,6 +7,7 @@ import pytest
 
 from signconj import (
     Matrix,
+    admissible_sign_vectors,
     Polynomial,
     RangeError,
     blockform,
@@ -140,6 +141,35 @@ class TestSamples:
     def test_one_sample_accepted(self):
         report = verify_matrix(Matrix.zero(4), samples=1, seed=3)
         assert report.passed
+
+    @staticmethod
+    def _checked(monkeypatch, a, **kwargs):
+        """The sign vectors verify_matrix checks, one entry per check."""
+        seen = []
+        real = verification.conjugate_by_signature
+
+        def spy(m, c):
+            seen.append(c)
+            return real(m, c)
+
+        monkeypatch.setattr(verification, "conjugate_by_signature", spy)
+        assert verify_matrix(a, **kwargs).passed
+        return seen
+
+    def test_sampled_vectors_are_distinct_draws_of_the_seeded_stream(self, monkeypatch):
+        rng = random.Random(0)
+        draws = [tuple([1] + [rng.choice((1, -1)) for _ in range(4)]) for _ in range(64)]
+        # drawn with replacement, the first 16 draws hold only 10 distinct vectors
+        assert len(set(draws[:16])) == 10
+        checked = self._checked(monkeypatch, random_matrix(random.Random(5), 5), samples=16, seed=0)
+        assert [c.signs for c in checked] == list(dict.fromkeys(draws))[:16]
+
+    def test_samples_beyond_the_vector_count_check_each_vector_once(self, monkeypatch):
+        a = Matrix([[1, "1/2", 0], [2, 3, "-1/3"], [0, 4, 5]])
+        checked = self._checked(monkeypatch, a, samples=100, seed=0)
+        assert sorted(c.signs for c in checked) == sorted(
+            c.signs for c in admissible_sign_vectors(3)
+        )
 
 
 class TestStabilizerBruteForce:
