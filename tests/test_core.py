@@ -343,8 +343,6 @@ class TestNoEntryCoercion:
     A = Matrix([["1/2", 2, 0, "-3/4"], [3, "5/6", 1, 0], [0, "-7/3", 4, 1], ["2/9", 0, -1, "1/5"]])
     B = Matrix([[1, "1/3", 0, 2], ["-1/2", 0, 1, 1], [0, 4, "2/7", 0], [1, 0, 0, -1]])
     C = SignVector((1, -1, 1, -1))
-    FIXED = sym_part(A, C)
-    NEGATED = antisym_part(A, C)
 
     OPERATIONS = {
         "sign_conjugate": lambda a, b, c: sign_conjugate(a, c),
@@ -355,8 +353,8 @@ class TestNoEntryCoercion:
         "transpose": lambda a, b, c: a.transpose(),
         "sym_part": lambda a, b, c: sym_part(a, c),
         "antisym_part": lambda a, b, c: antisym_part(a, c),
-        "sym_block_form": lambda a, b, c: sym_block_form(TestNoEntryCoercion.FIXED, c),
-        "antisym_block_form": lambda a, b, c: antisym_block_form(TestNoEntryCoercion.NEGATED, c),
+        "sym_block_form": lambda a, b, c: sym_block_form(sym_part(a, c), c),
+        "antisym_block_form": lambda a, b, c: antisym_block_form(antisym_part(a, c), c),
         "interpolate_shifts_det": lambda a, b, c: verification._interpolate_shifts(a, determinant),
         "interpolate_shifts_perm": lambda a, b, c: verification._interpolate_shifts(a, permanent),
     }
