@@ -40,7 +40,10 @@ def _matrix_digest(a: Matrix) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _parse_entry(token) -> Fraction:
+def _parse_entry(token) -> int | Fraction:
+    # a JSON int is already exact, and Matrix takes int entries as they are
+    if type(token) is int:
+        return token
     if isinstance(token, float):
         raise MatrixParseError(f"entry {token!r} is a float; use integers or 'p/q' strings")
     try:

@@ -8,7 +8,8 @@ exact; results are rescaled back to rationals at the end.  The
 permanent is Glynn's formula, a signed sum
 over the 2^(n-1) admissible sign vectors d with d_1 = +1, with its
 column sums packed into one int; the permanental polynomial is one
-polynomial-valued Ryser pass, so the two share no kernel.
+scalar Ryser walk over N - 2^k*I whose coefficients are read back as
+base-2^k digits, so the two share no kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
@@ -183,56 +185,56 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
 def _perm_poly_ryser_int(rows: Sequence[Sequence[int]]) -> list[int]:
     """Ascending coefficients of perm(N - y*I) for an integer matrix N.
 
-    Ryser's formula applied to N - y*I: for a column subset T with row
-    sums r_i, row i of N - y*I sums to r_i - y when i is in T and to r_i
-    otherwise, so the term is prod_{i not in T} r_i * prod_{i in T} (r_i - y).
-    One Gray-code walk over T gives the whole polynomial in O(2^n * n^2).
+    Kronecker substitution: one scalar Ryser walk evaluates the polynomial
+    at y = B = 2^k, and its coefficients are the balanced base-B digits of
+    the value, exact when every coefficient c has |c| < B/2.  |c| is at
+    most the matching coefficient of perm(|N| + y*I), so at most
+    perm(|N| + I), and the permanent of a nonnegative matrix is at most
+    the product of its row sums:
+
+        |c| <= M = prod_i (1 + sum_j |N_ij|) < 2^(bit_length(M)),
+
+    so k = bit_length(M) + 1 suffices.  The bound is tight: for a diagonal
+    N with entries of one sign the |c| sum to M.  Ryser's formula over the
+    column subsets T of N - B*I, walked in Gray-code order, costs 2^n steps
+    of n big-int row-sum updates and a product of the n row sums.
     """
     n = len(rows)
     if n == 0:
         return [1]
-    cols = [tuple(row[j] for row in rows) for j in range(n)]
-    sums = [0] * n
-    total = [0] * (n + 1)
-    gray = 0
-    sign = 1
-    for k in range(1, 1 << n):
+    bound = math.prod(1 + sum(map(abs, row)) for row in rows)
+    shift = bound.bit_length() + 1
+    base = 1 << shift
+    cols = [
+        [x - base if i == j else x for i, x in enumerate(col)]
+        for j, col in enumerate(zip(*rows))
+    ]
+    # |T| is odd exactly at the odd steps, and each odd step flips column 0,
+    # so the steps pair up as in _perm_glynn_int: flip the column the Gray
+    # code names at the even step k, then column 0
+    first = cols[0]
+    sums = first
+    odd = math.prod(sums)
+    even = 0
+    inside = [True] + [False] * (n - 1)
+    for k in range(2, 1 << n, 2):
         j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        col = cols[j]
-        if gray & bit:
-            for i in range(n):
-                sums[i] += col[i]
-        else:
-            for i in range(n):
-                sums[i] -= col[i]
-        sign = -sign
-        # a zero row sum outside T zeroes the term; rows in T contribute
-        # r_i - y, which is never the zero polynomial
-        outside = 1
-        inside = []
-        for i, s in enumerate(sums):
-            if gray >> i & 1:
-                inside.append(s)
-            elif not s:
-                outside = 0
-                break
-            else:
-                outside *= s
-        if not outside:
-            continue
-        poly = [1]
-        for r in inside:
-            poly.append(0)
-            for p in range(len(poly) - 1, 0, -1):
-                poly[p] = r * poly[p] - poly[p - 1]
-            poly[0] *= r
-        if sign < 0:
-            outside = -outside
-        for p, c in enumerate(poly):
-            total[p] += outside * c
-    return total if n % 2 == 0 else [-c for c in total]
+        inside[j] = not inside[j]
+        sums = list(map(add if inside[j] else sub, sums, cols[j]))
+        even += math.prod(sums)
+        inside[0] = not inside[0]
+        sums = list(map(add if inside[0] else sub, sums, first))
+        odd += math.prod(sums)
+    # perm(X) = (-1)^n * sum over T of (-1)^|T| * prod_i (row i's sum over T)
+    total = even - odd if n % 2 == 0 else odd - even
+    half = base >> 1
+    mask = base - 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = ((total + half) & mask) - half
+        coeffs.append(digit)
+        total = (total - digit) >> shift
+    return coeffs
 
 
 def _bareiss_int(rows: Sequence[Sequence[int]], cols: int) -> tuple[int, int]:
@@ -286,9 +288,10 @@ def _char_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
         col = [above[r] for above in rows[:r]]
         t = [1, -row[r]]
         for _ in range(r):
-            t.append(-sum(x * y for x, y in zip(left, col)))
-            col = [sum(x * y for x, y in zip(block_row, col)) for block_row in block]
-        p = [sum(t[i - j] * p[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+            t.append(-sum(map(mul, left, col)))
+            col = [sum(map(mul, block_row, col)) for block_row in block]
+        # t[i::-1] is t[i], ..., t[0]; map stops at the shorter of it and p
+        p = [sum(map(mul, t[i::-1], p)) for i in range(r + 2)]
     return p[::-1]
 
 
@@ -337,10 +340,12 @@ def char_poly(a: Matrix) -> Polynomial:
 def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
     """Permanental polynomial perm(A - x*I), ascending coefficients.
 
-    One polynomial-valued Ryser pass over the denominator-cleared matrix
-    N = den*A, costing O(2^n * n^2); `cap` is a size guard.  With
-    y = den*x, perm(A - x*I) = perm(N - y*I) / den^n, so coefficient k is
-    c_k * den^k / den^n.
+    One scalar Ryser walk over N - 2^k*I for the denominator-cleared
+    matrix N = den*A, with the coefficients read back as base-2^k digits
+    of the result: 2^n steps of n big-int additions and n products, on
+    numbers of up to about n*k bits with k about n*log2(row sum); `cap`
+    is a size guard.  With y = den*x, perm(A - x*I) = perm(N - y*I) / den^n,
+    so coefficient k is c_k * den^k / den^n.
     """
     a.require_square("permanental polynomial")
     n = a.rows

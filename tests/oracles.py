@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive - permutation sums, cofactor
 expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion,
-Ryser's inclusion-exclusion, walks over principal index subsets - so
-the production algorithms are checked against routes that share nothing
-with them.  The subset sums take their route from the walk alone: each
-principal submatrix goes through the package's own int kernels.
+Ryser's inclusion-exclusion (`ryser_permanent`, and `ryser_perm_poly`
+with polynomial-valued row products), walks over principal index
+subsets - so the production algorithms are checked against routes that
+share nothing with them.  The subset sums take their route from the
+walk alone: each principal submatrix goes through the package's own int
+kernels.
 """
 
 from __future__ import annotations
@@ -94,6 +96,61 @@ def ryser_permanent(rows: Sequence[Sequence[int]]) -> int:
             prod *= s
         total += prod if sign > 0 else -prod
     return total if n % 2 == 0 else -total
+
+
+def ryser_perm_poly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending coefficients of perm(N - y*I) for an integer matrix N.
+
+    Ryser's formula applied to N - y*I: for a column subset T with row
+    sums r_i, row i of N - y*I sums to r_i - y when i is in T and to r_i
+    otherwise, so the term is prod_{i not in T} r_i * prod_{i in T} (r_i - y).
+    One Gray-code walk over T gives the whole polynomial in O(2^n * n^2).
+    """
+    n = len(rows)
+    if n == 0:
+        return [1]
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    sums = [0] * n
+    total = [0] * (n + 1)
+    gray = 0
+    sign = 1
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        bit = 1 << j
+        gray ^= bit
+        col = cols[j]
+        if gray & bit:
+            for i in range(n):
+                sums[i] += col[i]
+        else:
+            for i in range(n):
+                sums[i] -= col[i]
+        sign = -sign
+        # a zero row sum outside T zeroes the term; rows in T contribute
+        # r_i - y, which is never the zero polynomial
+        outside = 1
+        inside = []
+        for i, s in enumerate(sums):
+            if gray >> i & 1:
+                inside.append(s)
+            elif not s:
+                outside = 0
+                break
+            else:
+                outside *= s
+        if not outside:
+            continue
+        poly = [1]
+        for r in inside:
+            poly.append(0)
+            for p in range(len(poly) - 1, 0, -1):
+                poly[p] = r * poly[p] - poly[p - 1]
+            poly[0] *= r
+        if sign < 0:
+            outside = -outside
+        for p, c in enumerate(poly):
+            total[p] += outside * c
+    return total if n % 2 == 0 else [-c for c in total]
 
 
 def gaussian_rank(a: Matrix) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from signconj import ComponentLabeling, Matrix, blockform, orbit
+from signconj import ComponentLabeling, Matrix, blockform, cli, core, orbit
 from signconj.cli import load_matrix, main, parse_matrix_document
 from oracles import orbit_by_matrices
 
@@ -84,6 +84,23 @@ class TestMatrixParsing:
     def test_rejects_wrong_declared_size(self):
         with pytest.raises(Exception):
             parse_matrix_document('{"n": 3, "entries": [[1,2],[3,4]]}', "json")
+
+    def test_int_json_entries_skip_as_scalar(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(real):
+            def coerce(value):
+                seen.append(value)
+                return real(value)
+
+            return coerce
+
+        monkeypatch.setattr(cli, "as_scalar", spy(cli.as_scalar))
+        monkeypatch.setattr(core, "as_scalar", spy(core.as_scalar))
+        path = write_matrix(tmp_path, "m.json", '{"n": 2, "entries": [[1, -2], [0, 7]]}')
+        a = load_matrix(path, None)
+        assert (a.nums, a.den) == (((1, -2), (0, 7)), 1)
+        assert seen == []
 
     def test_format_override(self, tmp_path):
         path = write_matrix(tmp_path, "m.txt", "1,2\n3,4\n")
@@ -440,6 +457,14 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["true", "false"])
+    def test_json_bool_entry_exit_2(self, capsys, tmp_path, entry):
+        path = write_matrix(tmp_path, "m.json", f"[[1, {entry}], [3, 4]]")
+        code, out, err = run_cli(capsys, "invariants", "--matrix", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad matrix entry")
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"

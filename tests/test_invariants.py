@@ -15,13 +15,15 @@ from signconj import (
     SizeCapExceededError,
     char_poly,
     determinant,
+    invariants,
     perm_poly,
     permanent,
     rank,
     sign_conjugate,
     trace,
+    verification,
 )
-from signconj.invariants import _char_poly_int, _perm_glynn_int
+from signconj.invariants import _char_poly_int, _perm_glynn_int, _perm_poly_ryser_int
 from oracles import (
     cofactor_determinant,
     expansion_permanent,
@@ -34,6 +36,7 @@ from oracles import (
     random_matrix,
     random_sign_vector,
     random_sparse_matrix,
+    ryser_perm_poly,
     ryser_permanent,
     sum_principal_minors,
     sum_principal_permanents,
@@ -418,6 +421,41 @@ class TestPermPoly:
                 assert perm_poly(a) == Polynomial([0, -1]) * perm_poly(minor)
                 assert perm_poly(a) == perm_poly_by_principal_sums(a)
 
+    def test_kernel_matches_ryser_poly_oracle(self):
+        rng = random.Random(1313)
+        big = 10**40
+        cases = [[[0] * 6 for _ in range(6)], [[-9] * 7 for _ in range(7)]]
+        for n in range(0, 13):
+            cases.append(random_matrix(rng, n, integer=True).nums)
+            cases.append(random_matrix(rng, n).nums)
+            cases.append(random_sparse_matrix(rng, n).nums)
+        cases.append([[rng.choice((-big, big)) for _ in range(5)] for _ in range(5)])
+        cases.append([[rng.choice((-big, 0, 1, big)) for _ in range(6)] for _ in range(6)])
+        for rows in cases:
+            assert _perm_poly_ryser_int(rows) == ryser_perm_poly(rows)
+        # perm(D - y*I) = prod_i (d_i - y); with the d_i of one sign the |c_k|
+        # sum to prod_i (1 + |d_i|), the bound the base-2^k digits are sized by
+        for diagonal in ([1] * 4, [3, 7, 1, 15, 3], [-9, -8, 0, -5, -2, -1, -7], [big] * 3, [-big] * 4):
+            n = len(diagonal)
+            rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
+            coeffs = _perm_poly_ryser_int(rows)
+            assert coeffs == ryser_perm_poly(rows)
+            assert sum(map(abs, coeffs)) == math.prod(1 + abs(d) for d in diagonal)
+
+    def test_kernel_shares_no_code_with_the_permanent(self, monkeypatch):
+        a = random_matrix(random.Random(1414), 6)
+        expected_poly, expected_perm = perm_poly(a), permanent(a)
+
+        def forbidden(*args):
+            raise AssertionError("kernel reached across")
+
+        monkeypatch.setattr(invariants, "_perm_glynn_int", forbidden)
+        monkeypatch.setattr(verification, "_interpolate_shifts", forbidden)
+        assert perm_poly(a) == expected_poly
+        monkeypatch.undo()
+        monkeypatch.setattr(invariants, "_perm_poly_ryser_int", forbidden)
+        assert permanent(a) == expected_perm
+
     def test_matches_sympy_per(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(1212)
@@ -446,6 +484,23 @@ def test_perm_poly_matches_oracles(rows):
     expected = perm_poly_by_principal_sums(a)
     assert perm_poly(a) == expected
     assert perm_poly_by_interpolation(a, permanent=expansion_permanent) == expected
+
+
+_wide_int_entries = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(10**40), 10**40)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(_wide_int_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_perm_poly_kernel_matches_ryser_poly(rows):
+    assert _perm_poly_ryser_int(rows) == ryser_perm_poly(rows)
 
 
 def test_expansion_permanent_matches_naive_oracle():
