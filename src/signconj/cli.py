@@ -5,9 +5,8 @@ verify.  Matrices come from CSV (one row per line, entries integer or
 p/q) or a JSON document {"n": ..., "entries": [[...]]}; reports go to
 stdout as deterministic JSON with every rational rendered exactly as
 "p/q" (bare integer when the denominator is 1).  Exit codes: 0 success,
-1 a check failed, 2 input or usage error, 3 an internal inconsistency,
-which only the orbit census raises (its enumeration disagrees with the
-component count).
+1 a check failed, 2 input or usage error, 3 an internal inconsistency
+(a defect in the library; nothing raises it today).
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import blockform, decomposition, group, invariants, orbit
@@ -119,8 +119,39 @@ def _check_json(c: CheckOutcome) -> dict:
     return out
 
 
+def _render(value, indent: str = "") -> str:
+    """The text of json.dumps(value, indent=2), built by nested joins: the
+    standard encoder drops to pure Python when given an indent."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a list of strings, such as a matrix row, in one join
+            body = sep.join(map(_quote, value))
+        except TypeError:
+            body = sep.join([_render(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(k)}: {_render(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
 def _emit(report: dict, failed: bool) -> int:
-    print(json.dumps(report, indent=2))
+    print(_render(report))
     return 1 if failed else 0
 
 

@@ -7,19 +7,23 @@ diagonal entries never create edges.  With t components there are
 matrix, and the two counts multiply to 2^(n-1).
 
 A conjugate depends only on the products c_i*c_j over the edges: the
-diagonal is fixed and zero entries stay zero.  Each sign vector is
-therefore keyed by an int, the set of edges where c_i*c_j = -1, and two
-vectors give the same conjugate exactly when their keys are equal.  The
-census walks all 2^(n-1) keys and builds only the 2^(n-t) distinct
-conjugates.
+diagonal is fixed and zero entries stay zero.  So two vectors give the
+same conjugate exactly when they differ by a stabilizer element, a
+vector constant on every component, and each coset of the stabilizer
+holds exactly one vector that is +1 at the first vertex of every
+component.  That vector is the coset's lexicographically first, so the
+census walks the 2^(n-t) signs of the other vertices in tail order and
+builds one conjugate per coset, in first-occurrence order.  These are
+the switching classes of signed graphs (Zaslavsky, Signed graphs, 1982).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import Matrix, SignVector, admissible_sign_vectors, sign_conjugate
-from .errors import InternalConsistencyError, SizeCapExceededError
+from .core import Matrix, SignVector, sign_conjugate
+from .errors import SizeCapExceededError
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -79,65 +83,57 @@ def graph_components(a: Matrix) -> ComponentLabeling:
     return ComponentLabeling(tuple(labels), len(ids))
 
 
-def _edge_masks(a: Matrix) -> list[int]:
-    """masks[v] has bit e set when the e-th nonzero off-diagonal pair
-    {i, j} (i < j, row-major) touches vertex v."""
-    n = a.rows
-    nums = a.nums
-    masks = [0] * n
-    bit = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nums[i][j] or nums[j][i]:
-                masks[i] |= bit
-                masks[j] |= bit
-                bit <<= 1
-    return masks
+def _flips(n: int, groups: list[list[int]]) -> Iterator[SignVector]:
+    """Every length-n vector that is -1 on a union of `groups` and +1
+    elsewhere.  The groups are disjoint, avoid vertex 0 and are listed by
+    increasing first vertex, so counting up with the first group as the
+    high bit gives the lexicographic order of the tail bits."""
+    width = len(groups)
+    for mask in range(1 << width):
+        signs = [1] * n
+        for k, group in enumerate(groups):
+            if (mask >> (width - 1 - k)) & 1:
+                for v in group:
+                    signs[v] = -1
+        yield SignVector(signs)
 
 
-def _edge_sign_key(masks: list[int], c: SignVector) -> int:
-    """Bit e is set when c_i*c_j = -1 on edge e: XOR over the -1 vertices."""
-    key = 0
-    for mask, s in zip(masks, c.signs):
-        if s < 0:
-            key ^= mask
-    return key
+def _components(a: Matrix) -> list[list[int]]:
+    """The vertices of each component, components in id order."""
+    labeling = graph_components(a)
+    members: list[list[int]] = [[] for _ in range(labeling.count)]
+    for v, cid in enumerate(labeling.labels):
+        members[cid - 1].append(v)
+    return members
+
+
+def _coset_representatives(a: Matrix) -> Iterator[SignVector]:
+    """The 2^(n-t) vectors that are +1 at the first vertex of every
+    component, in lexicographic order; each is the first member of its
+    coset of the stabilizer."""
+    free = sorted(v for members in _components(a) for v in members[1:])
+    return _flips(a.rows, [[v] for v in free])
 
 
 def _enumerate_distinct(a: Matrix) -> tuple[Matrix, ...]:
     """Distinct conjugates in first-occurrence order over the lexicographic
-    vector order; one conjugate is built per new key."""
-    masks = _edge_masks(a)
-    seen: set[int] = set()
-    distinct = []
-    for c in admissible_sign_vectors(a.rows):
-        key = _edge_sign_key(masks, c)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(sign_conjugate(a, c))
-    return tuple(distinct)
+    vector order; one conjugate is built per coset representative."""
+    return tuple(sign_conjugate(a, c) for c in _coset_representatives(a))
 
 
 def orbit_size(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitReport:
     """Orbit and stabilizer sizes from the component count; for n within
-    `cap` the orbit is also enumerated and the predicted size checked."""
+    `cap` the orbit is also enumerated."""
     a.require_square("orbit census")
     n = a.rows
     t = graph_components(a).count
-    predicted = 1 << (n - t)
-    stabilizer = 1 << (t - 1)
-    enumerated = None
-    if n <= cap:
-        enumerated = _enumerate_distinct(a)
-        if len(enumerated) != predicted:
-            raise InternalConsistencyError(
-                f"enumerated {len(enumerated)} distinct conjugates, component count predicts {predicted}"
-            )
-    return OrbitReport(t, predicted, stabilizer, enumerated)
+    enumerated = _enumerate_distinct(a) if n <= cap else None
+    return OrbitReport(t, 1 << (n - t), 1 << (t - 1), enumerated)
 
 
 def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[SignVector, ...]:
-    """All sign vectors whose conjugation fixes the matrix.
+    """All sign vectors whose conjugation fixes the matrix, +1-first in
+    lexicographic order.
 
     Built constructively: a fixing vector must be constant on every
     connected component, the component of vertex 1 is pinned to +1, and
@@ -148,13 +144,4 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"stabilizer enumeration for n={n} exceeds cap {cap}")
-    labeling = graph_components(a)
-    free_ids = sorted(set(labeling.labels) - {labeling.labels[0]})
-    found = []
-    for mask in range(1 << len(free_ids)):
-        chosen = {
-            cid: -1 if (mask >> k) & 1 else 1 for k, cid in enumerate(free_ids)
-        }
-        chosen[labeling.labels[0]] = 1
-        found.append(SignVector(chosen[cid] for cid in labeling.labels))
-    return tuple(sorted(found, key=lambda c: c.signs, reverse=True))
+    return tuple(_flips(n, _components(a)[1:]))

@@ -1,12 +1,16 @@
 """Command-line interface: formats, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from signconj import ComponentLabeling, Matrix, blockform, cli, core, orbit
+from signconj import InternalConsistencyError, Matrix, blockform, cli, core, orbit
 from signconj.cli import load_matrix, main, parse_matrix_document
 from oracles import orbit_by_matrices
 
@@ -423,7 +427,7 @@ class TestVerify:
         assert (failed["lhs"], failed["rhs"]) == ("(1, 0)", "(0, 0)")
 
     def test_wrong_enumerated_conjugate_exits_1(self, capsys, monkeypatch):
-        # the count is unchanged, so the census's own count gate passes
+        # the count is unchanged, so only the conjugate comparison can fail
         real = orbit._enumerate_distinct
 
         def negate_last(a):
@@ -434,6 +438,48 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--matrix", str(FIXTURES / "verify6.json"))
         assert code == 1
         assert set(failed_checks(out)) == {"orbit_matches_component_count"}
+
+
+report_text = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f a\u00e9\u2028\u20ac\U0001f600')),
+)
+report_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    report_text,
+)
+report_value = st.recursive(
+    report_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(report_text, max_size=5),
+        st.dictionaries(report_text, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(report_value)
+    def test_matches_indented_json_dumps(self, value):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli._emit(value, failed=False) == 0
+        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+    def test_quoted_non_ascii_path_round_trips(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, 'm"\u00e9.csv', "0,1\n1,0\n")
+        code, out, _ = run_cli(capsys, "orbit", "--matrix", path)
+        assert code == 0
+        assert f'"path": {json.dumps(path)},' in out
+        report = json.loads(out)
+        assert report["inputs"]["matrix"]["path"] == path
+        assert out == json.dumps(report, indent=2) + "\n"
 
 
 class TestUsageErrors:
@@ -494,13 +540,11 @@ class TestUsageErrors:
         assert err.startswith("error: samples must be at least 1")
 
     def test_internal_inconsistency_exit_3(self, capsys, tmp_path, monkeypatch):
-        real = orbit.graph_components
+        # nothing in the library raises it today, so a stub stands in for a defect
+        def inconsistent(a, *, cap):
+            raise InternalConsistencyError("two routes disagree")
 
-        def one_component_short(a):
-            labeling = real(a)
-            return ComponentLabeling(labeling.labels, labeling.count - 1)
-
-        monkeypatch.setattr(orbit, "graph_components", one_component_short)
+        monkeypatch.setattr(orbit, "orbit_size", inconsistent)
         path = write_matrix(tmp_path, "m.csv", "0,1,0\n1,0,0\n0,0,5\n")
         code, out, err = run_cli(capsys, "orbit", "--matrix", path)
         assert code == 3

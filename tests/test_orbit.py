@@ -1,8 +1,11 @@
 """Graph components and the distinct-conjugate census."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signconj import (
     Matrix,
@@ -10,6 +13,7 @@ from signconj import (
     SizeCapExceededError,
     admissible_sign_vectors,
     char_poly,
+    compose,
     determinant,
     graph_components,
     orbit_size,
@@ -20,6 +24,7 @@ from signconj import (
     stabilizer_elements,
     trace,
 )
+from signconj.orbit import _coset_representatives
 from oracles import orbit_by_matrices, random_sparse_matrix, stabilizer_by_matrices
 
 EDGE_PLUS_LOOP = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
@@ -142,8 +147,19 @@ class TestCountingLaws:
             assert fixing == set(stabilizer_elements(a))
 
 
+class TestCosetRepresentatives:
+    def test_times_stabilizer_cover_every_vector_once(self):
+        rng = random.Random(38)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            a = random_sparse_matrix(rng, n, density=rng.choice((0.0, 0.15, 0.4, 0.9)))
+            stabilizer = stabilizer_elements(a)
+            products = Counter(compose(c, s) for c in _coset_representatives(a) for s in stabilizer)
+            assert products == Counter(admissible_sign_vectors(n))
+
+
 class TestAgainstMatrixHashing:
-    """The edge-sign-key census against hashing every conjugate matrix."""
+    """The coset-representative census against hashing every conjugate matrix."""
 
     CASES = [
         Matrix([[0, 0, 0], [5, 0, 0], [0, 0, 0]]),
@@ -166,3 +182,17 @@ class TestAgainstMatrixHashing:
     @pytest.mark.parametrize("a", CASES, ids=["one_sided", "one_sided_rational", "zero", "diagonal"])
     def test_special_patterns(self, a):
         self.assert_agrees(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0] * 6 + [-2, -1, "-3/2", 3]), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_property_sparse(self, rows):
+        a = Matrix(rows)
+        assert orbit_size(a).enumerated == orbit_by_matrices(a)
