@@ -42,7 +42,7 @@ print("  plus block: ", form.plus_block)
 print("  minus block:", form.minus_block)
 print("  P^-1 (S) P: ", form.conjugated)
 
-rep = factor_invariants_sym(pair.sym, c)
+rep = factor_invariants_sym(pair.sym, form)
 print("  char poly factors:", rep.char_full == rep.char_product)
 print(f"  det {rep.det_full} = {rep.det_product}, perm {rep.perm_full} = {rep.perm_product}")
 
@@ -52,7 +52,7 @@ print("  upper block:", aform.upper_block)
 print("  lower block:", aform.lower_block)
 print("  P^-1 (T) P: ", aform.conjugated)
 
-arep = factor_invariants_antisym(pair.antisym, c)
+arep = factor_invariants_antisym(pair.antisym, aform)
 if arep.det_blocks_signed is None:
     print(f"  unbalanced sign classes ({arep.plus_count} vs {arep.minus_count}):"
           f" det = {arep.det_full}, perm = {arep.perm_full} (both must vanish)")

@@ -155,10 +155,10 @@ def antisym_block_form(a: Matrix, c: SignVector) -> AntisymBlockForm:
     return AntisymBlockForm(part, perm, upper, lower, conjugated)
 
 
-def factor_invariants_sym(a: Matrix, c: SignVector) -> SymFactorReport:
+def factor_invariants_sym(a: Matrix, form: SymBlockForm) -> SymFactorReport:
     """Characteristic polynomial, determinant, and permanent of a fixed
-    matrix next to the products over its two diagonal blocks."""
-    form = sym_block_form(a, c)
+    matrix next to the products over the two diagonal blocks of its block
+    form, `sym_block_form(a, c)`."""
     d, e = form.plus_block, form.minus_block
     return SymFactorReport(
         char_full=char_poly(a),
@@ -170,13 +170,12 @@ def factor_invariants_sym(a: Matrix, c: SignVector) -> SymFactorReport:
     )
 
 
-def factor_invariants_antisym(a: Matrix, c: SignVector) -> AntisymFactorReport:
+def factor_invariants_antisym(a: Matrix, form: AntisymBlockForm) -> AntisymFactorReport:
     """Determinant and permanent of a negated matrix; both vanish unless
     the sign classes have equal size, in which case they factor through
-    the two anti-diagonal blocks."""
-    form = antisym_block_form(a, c)
+    the two anti-diagonal blocks of its block form, `antisym_block_form(a, c)`."""
     r = form.partition.plus_count
-    s = len(c) - r
+    s = len(form.partition.minus_indices)
     det_full = determinant(a)
     perm_full = permanent(a)
     if r != s:

@@ -289,7 +289,7 @@ def _cmd_blockform(args) -> int:
         similar.record(blockform.assemble_diag(form.plus_block, form.minus_block), gathered)
         checks.append(similar)
         if run_factors:
-            rep = blockform.factor_invariants_sym(a, c)
+            rep = blockform.factor_invariants_sym(a, form)
             for name, lhs, rhs in (
                 ("char_poly_factors", rep.char_full, rep.char_product),
                 ("determinant_factors", rep.det_full, rep.det_product),
@@ -319,7 +319,7 @@ def _cmd_blockform(args) -> int:
         similar.record(blockform.assemble_antidiag(form.upper_block, form.lower_block), gathered)
         checks.append(similar)
         if run_factors:
-            rep = blockform.factor_invariants_antisym(a, c)
+            rep = blockform.factor_invariants_antisym(a, form)
             out = CheckOutcome(name="determinant_and_permanent_factor")
             if rep.det_blocks_signed is None:
                 out.record((rep.det_full, rep.perm_full), (Fraction(0), Fraction(0)))

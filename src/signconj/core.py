@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -110,6 +110,19 @@ class Matrix:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_entries", None)
 
+    @classmethod
+    def _trusted(cls, nums: tuple[tuple[int, ...], ...], cols: int, den: int) -> Matrix:
+        """A Matrix stored as given, with no check: only for a table already
+        canonical, int row tuples of width `cols` over a `den` in lowest
+        terms, such as a sign change or reordering of a Matrix's own table."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(nums))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "nums", nums)
+        object.__setattr__(m, "den", den)
+        object.__setattr__(m, "_entries", None)
+        return m
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Matrix is immutable")
 
@@ -167,9 +180,7 @@ class Matrix:
 
     def transpose(self) -> Matrix:
         # an empty zip would lose the column count of an r x 0 or 0 x c matrix
-        return Matrix(
-            list(zip(*self.nums)) or [()] * self.cols, cols=self.rows, den=self.den
-        )
+        return Matrix._trusted(tuple(zip(*self.nums)) or ((),) * self.cols, self.rows, self.den)
 
     def __add__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
@@ -193,7 +204,9 @@ class Matrix:
         return self.__add__(-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix((tuple(-e for e in row) for row in self.nums), cols=self.cols, den=self.den)
+        return Matrix._trusted(
+            tuple(tuple(map(neg, row)) for row in self.nums), self.cols, self.den
+        )
 
     def __mul__(self, scalar: ScalarLike) -> Matrix:
         k = as_scalar(scalar)
@@ -348,17 +361,20 @@ def sign_conjugate(a: Matrix, c: SignVector) -> Matrix:
     """Entrywise sign conjugation: result[i][j] = c_i * a[i][j] * c_j.
 
     Fixes the diagonal, is an involution, and equals conjugation by the
-    signature matrix diag(c).  The product of two signs is +1 exactly when
-    they agree, so each entry is kept or negated without multiplying.
+    signature matrix diag(c).  Row i is row i of A times the signs c_j,
+    negated when c_i = -1.  Negating entries keeps A's den and the gcd of
+    its numerators, so the result is canonical as built.
     """
     _check_conformable(a, c)
-    return Matrix(
-        (
-            tuple(e if ci == cj else -e for e, cj in zip(row, c.signs))
-            for row, ci in zip(a.nums, c.signs)
+    signs = c.signs
+    flipped = tuple(map(neg, signs))
+    return Matrix._trusted(
+        tuple(
+            tuple(map(mul, row, signs if ci == 1 else flipped))
+            for row, ci in zip(a.nums, signs)
         ),
-        cols=a.cols,
-        den=a.den,
+        a.cols,
+        a.den,
     )
 
 

@@ -10,6 +10,7 @@ O(n^2) at any n.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -102,6 +103,7 @@ def subspace_dims(n: int, r: int) -> tuple[int, int]:
 def _order2_sum(m: Matrix, sign: int) -> Fraction:
     """sum_{i<j} m_ii*m_jj + sign*m_ij*m_ji on the cleared ints m.nums:
     the order-2 principal minor sum for sign = -1, the permanent sum for +1."""
+    m.require_square("order-2 principal sum")
     rows = m.nums
     total = 0
     for i, row in enumerate(rows):
@@ -111,28 +113,42 @@ def _order2_sum(m: Matrix, sign: int) -> Fraction:
     return Fraction(total, m.den * m.den)
 
 
-def _order2_triple(a: Matrix, pair: DecompositionPair, sign: int) -> tuple[Fraction, Fraction, Fraction]:
+def order2_minor_sum(m: Matrix) -> Fraction:
+    """Sum of the order-2 principal minors, sum_{i<j} m_ii*m_jj - m_ij*m_ji,
+    in O(n^2); 0 when n < 2."""
+    return _order2_sum(m, -1)
+
+
+def order2_permanent_sum(m: Matrix) -> Fraction:
+    """Sum of the order-2 principal permanents, sum_{i<j} m_ii*m_jj + m_ij*m_ji,
+    in O(n^2); 0 when n < 2."""
+    return _order2_sum(m, 1)
+
+
+def _order2_triple(
+    a: Matrix, pair: DecompositionPair, order2_sum: Callable[[Matrix], Fraction]
+) -> tuple[Fraction, Fraction, Fraction]:
     if a.rows < 2:
         raise OrderOutOfRangeError("order-2 additivity needs n >= 2")
-    return _order2_sum(a, sign), _order2_sum(pair.sym, sign), _order2_sum(pair.antisym, sign)
+    return order2_sum(a), order2_sum(pair.sym), order2_sum(pair.antisym)
 
 
 def minor2_additivity(a: Matrix, c: SignVector) -> tuple[Fraction, Fraction, Fraction]:
     """(sum of order-2 minors of A, of the fixed part, of the negated part);
     the first equals the sum of the other two."""
-    return _order2_triple(a, split(a, c), -1)
+    return _order2_triple(a, split(a, c), order2_minor_sum)
 
 
 def permanent2_additivity(a: Matrix, c: SignVector) -> tuple[Fraction, Fraction, Fraction]:
     """Order-2 principal permanent sums across the sign split."""
-    return _order2_triple(a, split(a, c), 1)
+    return _order2_triple(a, split(a, c), order2_permanent_sum)
 
 
 def classic_minor2_additivity(a: Matrix) -> tuple[Fraction, Fraction, Fraction]:
     """Order-2 principal minor sums across the transpose split."""
-    return _order2_triple(a, classic_split(a), -1)
+    return _order2_triple(a, classic_split(a), order2_minor_sum)
 
 
 def classic_permanent2_additivity(a: Matrix) -> tuple[Fraction, Fraction, Fraction]:
     """Order-2 principal permanent sums across the transpose split."""
-    return _order2_triple(a, classic_split(a), 1)
+    return _order2_triple(a, classic_split(a), order2_permanent_sum)

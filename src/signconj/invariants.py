@@ -31,17 +31,40 @@ _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
 
 
 class Polynomial:
-    """Polynomial with exact rational coefficients, ascending by power."""
+    """Polynomial with exact rational coefficients, ascending by power.
 
-    __slots__ = ("coefficients",)
+    Stored cleared, as `Matrix` is: `nums` is a tuple of int numerators
+    with trailing zeros stripped ((0,) for the zero polynomial) and `den`
+    is one positive int, so coefficient k is nums[k] / den.  The pair is
+    kept in lowest terms, so equal polynomials store equal ints and `+`,
+    `*`, `==` and `hash` are int arithmetic.
+    """
 
-    def __init__(self, coefficients: Iterable[ScalarLike]):
-        coeffs = [as_scalar(c) for c in coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    __slots__ = ("nums", "den", "_coefficients")
+
+    def __init__(self, coefficients: Iterable[ScalarLike], *, den: int = 1):
+        """Coefficient k is coefficients[k] / den.  Int inputs are taken as
+        they are; any other input goes through `as_scalar`."""
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        nums = list(coefficients)
+        if set(map(type, nums)) - {int}:
+            values = [e if type(e) is int else as_scalar(e) for e in nums]
+            common = math.lcm(*(v.denominator for v in values))
+            nums = [v.numerator * (common // v.denominator) for v in values]
+            den *= common
+        while len(nums) > 1 and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            nums = [0]
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [e // g for e in nums]
+                den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coefficients", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -51,49 +74,61 @@ class Polynomial:
         return cls((1,))
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions: a read-only view, built on first use."""
+        if self._coefficients is None:
+            den = self.den
+            view = tuple(Fraction(e, den) for e in self.nums)
+            object.__setattr__(self, "_coefficients", view)
+        return self._coefficients
+
+    @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     def __call__(self, x: ScalarLike) -> Fraction:
         x = as_scalar(x)
         value = Fraction(0)
-        for c in reversed(self.coefficients):
+        for c in reversed(self.nums):
             value = value * x + c
-        return value
+        return value / self.den
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
+        den = math.lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        a = [k1 * e for e in self.nums]
+        b = [k2 * e for e in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
+        for i, e in enumerate(b):
+            a[i] += e
+        return Polynomial(a, den=den)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
+        theirs = other.nums
+        out = [0] * (len(self.nums) + len(theirs) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return Polynomial(out)
+                for j, b in enumerate(theirs, i):
+                    out[j] += a * b
+        return Polynomial(out, den=self.den * other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return (self.den, self.nums) == (other.den, other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)})"
@@ -295,6 +330,18 @@ def _char_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
     return p[::-1]
 
 
+def _over_den_powers(coeffs: Sequence[int], den: int, sign: int) -> Polynomial:
+    """sign * q(den*x) / den^n for the kernel polynomial q with ascending
+    int coefficients `coeffs`, n = deg q: coefficient k is
+    sign * coeffs[k] * den^k over den^n."""
+    nums = []
+    power = sign
+    for c in coeffs:
+        nums.append(c * power)
+        power *= den
+    return Polynomial(nums, den=den ** (len(coeffs) - 1))
+
+
 def trace(a: Matrix) -> Fraction:
     """Sum of the diagonal entries."""
     a.require_square("trace")
@@ -331,10 +378,7 @@ def char_poly(a: Matrix) -> Polynomial:
     """
     a.require_square("characteristic polynomial")
     n = a.rows
-    den = a.den
-    monic = _char_poly_int(a.nums)
-    sign = -1 if n % 2 else 1
-    return Polynomial(sign * Fraction(monic[k], den ** (n - k)) for k in range(n + 1))
+    return _over_den_powers(_char_poly_int(a.nums), a.den, -1 if n % 2 else 1)
 
 
 def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
@@ -351,6 +395,4 @@ def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"permanental polynomial of a {n}x{n} matrix exceeds cap {cap}")
-    den = a.den
-    coeffs = _perm_poly_ryser_int(a.nums)
-    return Polynomial(Fraction(coeffs[k] * den**k, den**n) for k in range(n + 1))
+    return _over_den_powers(_perm_poly_ryser_int(a.nums), a.den, 1)

@@ -232,6 +232,34 @@ def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Polynomial:
     return result
 
 
+def fraction_poly(coefficients: Sequence) -> tuple[Fraction, ...]:
+    """Ascending Fraction coefficients with trailing zeros stripped, (0,) for
+    the zero polynomial."""
+    coeffs = [Fraction(c) for c in coefficients]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs) or (Fraction(0),)
+
+
+def fraction_poly_add(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
+    """Sum of two ascending coefficient lists, one Fraction at a time."""
+    padded = max(len(p), len(q))
+    return fraction_poly(
+        Fraction(p[k] if k < len(p) else 0) + Fraction(q[k] if k < len(q) else 0)
+        for k in range(padded)
+    )
+
+
+def fraction_poly_mul(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
+    """Product of two ascending coefficient lists by schoolbook convolution
+    over Fractions."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += Fraction(a) * Fraction(b)
+    return fraction_poly(out)
+
+
 def perm_poly_by_interpolation(a: Matrix, permanent=naive_permanent) -> Polynomial:
     """Evaluate perm(A - x*I) at n+1 small integers, then interpolate.
 

@@ -297,7 +297,7 @@ def test_criterion_08_block_forms():
                 failures.append(("sym similarity", n, c))
             if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
                 failures.append(("sym permutation-matrix similarity", n, c))
-            rep = factor_invariants_sym(a, c)
+            rep = factor_invariants_sym(a, form)
             if rep.char_full != rep.char_product:
                 failures.append(("char factorization", n, c))
             if rep.det_full != rep.det_product or rep.perm_full != rep.perm_product:
@@ -310,7 +310,7 @@ def test_criterion_08_block_forms():
                 failures.append(("antisym similarity", n, c))
             if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
                 failures.append(("antisym permutation-matrix similarity", n, c))
-            rep = factor_invariants_antisym(a, c)
+            rep = factor_invariants_antisym(a, form)
             if rep.det_blocks_signed is None:
                 if rep.det_full != 0 or rep.perm_full != 0:
                     failures.append(("unbalanced nonzero", n, c))
@@ -327,7 +327,7 @@ def test_criterion_08_block_forms():
             rng.shuffle(tail)
             c = SignVector([1] + tail)
             a = antisym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_antisym(a, c)
+            rep = factor_invariants_antisym(a, antisym_block_form(a, c))
             f_det = determinant(rep_block(a, c, upper=True))
             g_det = determinant(rep_block(a, c, upper=False))
             if determinant(a) != (-1) ** (n // 2) * f_det * g_det:

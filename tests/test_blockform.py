@@ -164,20 +164,20 @@ class TestAgainstPermutationMatrix:
 class TestSymFactorizations:
     def test_hand_value(self):
         a = Matrix([[1, 0, 5], [0, 2, 0], [7, 0, 3]])
-        rep = factor_invariants_sym(a, parse_sign_vector("1,-1,1"))
+        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,-1,1")))
         assert rep.det_full == rep.det_product == -64
         assert rep.char_full == rep.char_product
         assert rep.perm_full == rep.perm_product
 
     def test_block_numbers(self):
         a = Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-        rep = factor_invariants_sym(a, parse_sign_vector("1,1,-1"))
+        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,1,-1")))
         assert rep.det_full == -10
         assert rep.perm_full == 50
 
     def test_empty_minus_block_factors_trivially(self):
         a = Matrix([[1, 2], [3, 4]])
-        rep = factor_invariants_sym(a, parse_sign_vector("1,1"))
+        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,1")))
         assert rep.char_product == char_poly(a)
         assert rep.det_product == determinant(a)
         assert rep.perm_product == permanent(a)
@@ -188,7 +188,7 @@ class TestSymFactorizations:
             n = rng.randint(1, 7)
             c = random_sign_vector(rng, n)
             a = sym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_sym(a, c)
+            rep = factor_invariants_sym(a, sym_block_form(a, c))
             assert rep.char_full == rep.char_product
             assert rep.det_full == rep.det_product
             assert rep.perm_full == rep.perm_product
@@ -196,7 +196,8 @@ class TestSymFactorizations:
 
 class TestAntisymFactorizations:
     def test_balanced_two_by_two(self):
-        rep = factor_invariants_antisym(Matrix([[0, 2], [3, 0]]), parse_sign_vector("1,-1"))
+        a = Matrix([[0, 2], [3, 0]])
+        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1")))
         assert rep.det_full == -6
         assert rep.det_blocks_signed == -6
         assert rep.perm_full == rep.perm_blocks == 6
@@ -204,20 +205,21 @@ class TestAntisymFactorizations:
 
     def test_unbalanced_vanishes(self):
         a = Matrix([[0, 0, 1], [0, 0, 2], [3, 4, 0]])
-        rep = factor_invariants_antisym(a, parse_sign_vector("1,1,-1"))
+        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,1,-1")))
         assert rep.det_full == 0
         assert rep.perm_full == 0
         assert rep.det_blocks_signed is None
 
     def test_zero_matrix(self):
-        rep = factor_invariants_antisym(Matrix.zero(3), parse_sign_vector("1,-1,1"))
+        a = Matrix.zero(3)
+        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1,1")))
         assert rep.det_full == 0 and rep.perm_full == 0
 
     def test_printed_alternative_sign_fails_at_n2(self):
         # determinant of [[0, f], [g, 0]] is -f*g, so any sign rule of the
         # form (-1)^n (which is +1 at n=2) is refuted by this witness
         a = Matrix([[0, 2], [3, 0]])
-        rep = factor_invariants_antisym(a, parse_sign_vector("1,-1"))
+        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1")))
         blocks_det = determinant(rep_upper(a)) * determinant(rep_lower(a))
         assert rep.det_full == (-1) ** (2 // 2) * blocks_det
         assert rep.det_full != (-1) ** 2 * blocks_det
@@ -231,7 +233,7 @@ class TestAntisymFactorizations:
                 rng.shuffle(tail)
                 c = parse_sign_vector(",".join(str(s) for s in [1] + tail))
                 a = antisym_part(random_matrix(rng, n), c)
-                rep = factor_invariants_antisym(a, c)
+                rep = factor_invariants_antisym(a, antisym_block_form(a, c))
                 assert rep.det_full == rep.det_blocks_signed
                 assert rep.perm_full == rep.perm_blocks
 
@@ -244,7 +246,7 @@ class TestAntisymFactorizations:
             if 2 * r == n:
                 continue
             a = antisym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_antisym(a, c)
+            rep = factor_invariants_antisym(a, antisym_block_form(a, c))
             assert rep.det_full == 0
             assert rep.perm_full == 0
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from signconj import (
@@ -23,10 +23,10 @@ from signconj import (
     sign_conjugate,
     signature_matrix,
 )
-from signconj import core, verification
+from signconj import core, invariants, verification
 from signconj.blockform import antisym_block_form, sym_block_form
 from signconj.decomposition import antisym_part, sym_part
-from signconj.invariants import determinant, permanent
+from signconj.invariants import char_poly, determinant, perm_poly, permanent
 from oracles import permutation_matrix
 
 signs_st = st.integers(1, 5).flatmap(
@@ -334,11 +334,40 @@ class TestCanonicalForm:
         assert m.text_rows() == [[str(e) for e in row] for row in m.entries]
 
 
+def _stored(m: Matrix) -> tuple:
+    return (m.rows, m.cols, m.nums, m.den)
+
+
+class TestTrustedConstruction:
+    """`sign_conjugate`, negation and `transpose` store their tables without
+    `Matrix.__init__`; each result is exactly what `__init__` stores for
+    the same table."""
+
+    @given(matrix_and_signs_st())
+    def test_sign_conjugate(self, data):
+        rows, signs = data
+        r = sign_conjugate(Matrix(rows), SignVector(signs))
+        assert _stored(r) == _stored(Matrix(r.nums, cols=r.cols, den=r.den))
+
+    @given(table_pair_st())
+    @example((0, [], []))
+    @example((0, [[], [], []], []))
+    @example((3, [], []))
+    def test_negation_and_transpose(self, data):
+        cols, rows, _ = data
+        a = Matrix(rows, cols=cols)
+        for r in (-a, a.transpose()):
+            assert _stored(r) == _stored(Matrix(r.nums, cols=r.cols, den=r.den))
+        assert (a.transpose().rows, a.transpose().cols) == (a.cols, a.rows)
+
+
 class TestNoEntryCoercion:
     """Results of Matrix operations are built from int numerators, so none
-    of these sends an entry through `core.as_scalar`.  (Polynomial
-    coefficients, which `_interpolate_shifts` returns, stay Fractions and
-    are outside this check.)"""
+    of these sends an entry through `core.as_scalar`; `char_poly`,
+    `perm_poly` and Polynomial products build their coefficients from
+    ints too, so none sends one through `invariants.as_scalar`.
+    (`_interpolate_shifts` hands its Fraction coefficients to `Polynomial`,
+    which coerces each of them once; that is outside this check.)"""
 
     A = Matrix([["1/2", 2, 0, "-3/4"], [3, "5/6", 1, 0], [0, "-7/3", 4, 1], ["2/9", 0, -1, "1/5"]])
     B = Matrix([[1, "1/3", 0, 2], ["-1/2", 0, 1, 1], [0, 4, "2/7", 0], [1, 0, 0, -1]])
@@ -376,6 +405,26 @@ class TestNoEntryCoercion:
         result = self.OPERATIONS[name](self.A, self.B, self.C)
         assert result is not None
         assert coerced == []
+
+    POLYNOMIAL_OPERATIONS = {
+        "char_poly": lambda a, b: char_poly(a),
+        "perm_poly": lambda a, b: perm_poly(a),
+        "polynomial_product": lambda a, b: char_poly(a) * perm_poly(b),
+    }
+
+    @pytest.mark.parametrize("name", POLYNOMIAL_OPERATIONS)
+    def test_no_coefficient_goes_through_as_scalar(self, monkeypatch, name):
+        seen = []
+        real = invariants.as_scalar
+
+        def spy(value):
+            seen.append(value)
+            return real(value)
+
+        monkeypatch.setattr(invariants, "as_scalar", spy)
+        result = self.POLYNOMIAL_OPERATIONS[name](self.A, self.B)
+        assert result.den > 1
+        assert seen == []
 
     def test_scalar_product_coerces_only_the_scalar(self, coerced):
         half = self.A * "1/2"

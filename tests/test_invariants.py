@@ -28,6 +28,9 @@ from oracles import (
     cofactor_determinant,
     expansion_permanent,
     faddeev_char_poly,
+    fraction_poly,
+    fraction_poly_add,
+    fraction_poly_mul,
     gaussian_rank,
     naive_permanent,
     perm_poly_by_interpolation,
@@ -48,6 +51,9 @@ def _sympy_matrix(a: Matrix):
     return sympy.Matrix(
         a.rows, a.cols, [sympy.Rational(e.numerator, e.denominator) for row in a.entries for e in row]
     )
+
+
+coefficients_st = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=6)
 
 
 class TestPolynomial:
@@ -71,6 +77,45 @@ class TestPolynomial:
     def test_str(self):
         assert str(Polynomial([-2, -5, 1])) == "x^2 - 5*x - 2"
         assert str(Polynomial([0])) == "0"
+
+    @given(coefficients_st)
+    def test_cleared_form_is_canonical(self, coeffs):
+        p = Polynomial(coeffs)
+        assert all(type(e) is int for e in p.nums) and type(p.den) is int and p.den >= 1
+        assert math.gcd(p.den, *p.nums) == 1
+        assert len(p.nums) == 1 or p.nums[-1] != 0
+        assert p.coefficients == fraction_poly(coeffs)
+        assert p.coefficients == tuple(Fraction(e, p.den) for e in p.nums)
+        x = Fraction(-2, 3)
+        assert p(x) == sum(c * x**k for k, c in enumerate(coeffs))
+
+    @given(coefficients_st, coefficients_st, st.integers(1, 6))
+    def test_arithmetic_matches_fraction_lists(self, p, q, extra):
+        a, b = Polynomial(p), Polynomial(q)
+        assert (a + b).coefficients == fraction_poly_add(p, q)
+        assert (a * b).coefficients == fraction_poly_mul(p, q)
+        assert (a == b) is (fraction_poly(p) == fraction_poly(q))
+        # every route to one polynomial stores the same ints and hashes alike
+        den = math.lcm(*(c.denominator for c in p)) * extra
+        routes = [
+            Polynomial([int(c * den) for c in p] + [0, 0], den=den),
+            Polynomial([f"{c.numerator}/{c.denominator}" for c in p]),
+            (a + b) + Polynomial([-c for c in q]),
+            a * Polynomial([1]),
+        ]
+        for r in routes:
+            assert r == a
+            assert (r.nums, r.den, hash(r)) == (a.nums, a.den, hash(a))
+
+    def test_den_argument(self):
+        assert Polynomial([Fraction(1, 2)]) == Polynomial([1], den=2)
+        p = Polynomial([0, 0], den=12)
+        assert (p.nums, p.den) == ((0,), 1)
+
+    @pytest.mark.parametrize("den", [0, -2, True, 1.0, "2"])
+    def test_den_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError):
+            Polynomial([1], den=den)
 
 
 class TestTrace:

@@ -258,6 +258,24 @@ class TestBlockSimilarity:
         assert {"sym_part_block_similarity", "antisym_part_block_similarity"} <= failed
 
 
+class TestOneBlockFormPerVector:
+    def test_each_block_form_is_built_once_per_sign_vector(self, monkeypatch):
+        calls = {"sym_block_form": 0, "antisym_block_form": 0}
+        for name in calls:
+            real = getattr(blockform, name)
+
+            def spy(a, c, name=name, real=real):
+                calls[name] += 1
+                return real(a, c)
+
+            # the factor reports would find the blockform binding, verify its own
+            monkeypatch.setattr(blockform, name, spy)
+            monkeypatch.setattr(verification, name, spy)
+        report = verify_matrix(random_matrix(random.Random(19), 5))
+        assert report.passed
+        assert calls == {"sym_block_form": 16, "antisym_block_form": 16}
+
+
 class TestPrincipalSums:
     """The independent side of the principal-sum checks interpolates
     det(A - x*I) and perm(A - x*I) from n+1 shifted matrices; each
