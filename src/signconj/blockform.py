@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Matrix, Permutation, SignVector, sign_conjugate
-from .errors import NotSignAntisymmetricError, NotSignSymmetricError
+from .errors import DimensionMismatchError, NotSignAntisymmetricError, NotSignSymmetricError
 from .invariants import Polynomial, char_poly, determinant, permanent
 
 
@@ -94,10 +94,10 @@ def block_permutation(c: SignVector) -> Permutation:
 
 def _pick(a: Matrix, row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> Matrix:
     nums = a.nums
-    return Matrix(
-        (tuple(nums[i - 1][j - 1] for j in col_ids) for i in row_ids),
-        cols=len(col_ids),
-        den=a.den,
+    return Matrix._reduced(
+        tuple(tuple(nums[i - 1][j - 1] for j in col_ids) for i in row_ids),
+        len(col_ids),
+        a.den,
     )
 
 
@@ -108,21 +108,25 @@ def _over(m: Matrix, den: int) -> list[tuple[int, ...]]:
 
 
 def assemble_diag(d: Matrix, e: Matrix) -> Matrix:
-    """Block-diagonal matrix diag(d, e); either block may be 0x0."""
+    """Block-diagonal matrix diag(d, e); either block may be empty."""
     den = math.lcm(d.den, e.den)
     rows = [row + (0,) * e.cols for row in _over(d, den)]
     rows += [(0,) * d.cols + row for row in _over(e, den)]
-    return Matrix(rows, cols=d.rows + e.rows, den=den)
+    return Matrix._reduced(tuple(rows), d.cols + e.cols, den)
 
 
 def assemble_antidiag(f: Matrix, g: Matrix) -> Matrix:
     """Block matrix with zero diagonal blocks and f, g on the anti-diagonal;
     f is r x (n-r) and g is (n-r) x r."""
     r, s = f.rows, g.rows
+    if (f.cols, g.cols) != (s, r):
+        raise DimensionMismatchError(
+            f"anti-diagonal blocks {f.rows}x{f.cols} and {g.rows}x{g.cols} do not fit"
+        )
     den = math.lcm(f.den, g.den)
     rows = [(0,) * r + row for row in _over(f, den)]
     rows += [row + (0,) * s for row in _over(g, den)]
-    return Matrix(rows, cols=r + s, den=den)
+    return Matrix._reduced(tuple(rows), r + s, den)
 
 
 def _gather(a: Matrix, c: SignVector) -> tuple[IndexPartition, Permutation, Matrix]:

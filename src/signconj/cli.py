@@ -119,25 +119,29 @@ def _check_json(c: CheckOutcome) -> dict:
     return out
 
 
-def _render(value, indent: str = "") -> str:
+def _render(value, indent: str, rows: dict) -> str:
     """The text of json.dumps(value, indent=2), built by nested joins: the
-    standard encoder drops to pure Python when given an indent."""
+    standard encoder drops to pure Python when given an indent.  A Matrix
+    renders as its text_rows() would; `rows` keeps every matrix row
+    rendered so far in the report (see _render_matrix)."""
     if isinstance(value, str):
         return _quote(value)
+    if isinstance(value, Matrix):
+        return _render_matrix(value, indent, rows)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        try:  # a list of strings, such as a matrix row, in one join
+        try:  # a list of strings, such as a polynomial's coefficients, in one join
             body = sep.join(map(_quote, value))
         except TypeError:
-            body = sep.join([_render(v, inner) for v in value])
+            body = sep.join([_render(v, inner, rows) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([f"{_quote(k)}: {_render(v, inner)}" for k, v in value.items()])
+        body = sep.join([f"{_quote(k)}: {_render(v, inner, rows)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     if value is None:
         return "null"
@@ -150,8 +154,29 @@ def _render(value, indent: str = "") -> str:
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
+def _render_matrix(m: Matrix, indent: str, rows: dict) -> str:
+    """The text of m.text_rows() at this indent.  A row's text depends only
+    on the indent, m.den and its int entries, so `rows` maps those to the
+    rendered row and each distinct row goes through text_rows once per
+    report: the conjugates of one matrix share most of their rows."""
+    if not m.rows:
+        return "[]"
+    inner = indent + "  "
+    known = rows.setdefault((indent, m.den), {})
+    parts = list(map(known.get, m.nums))
+    if None in parts:
+        texts = m.text_rows()
+        sep = ",\n  " + inner
+        for i, row in enumerate(m.nums):
+            if parts[i] is None:
+                body = sep.join(map(_quote, texts[i]))
+                parts[i] = known[row] = f"[\n  {inner}{body}\n{inner}]" if row else "[]"
+    body = (",\n" + inner).join(parts)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _emit(report: dict, failed: bool) -> int:
-    print(_render(report))
+    print(_render(report, "", {}))
     return 1 if failed else 0
 
 
@@ -178,7 +203,7 @@ def _cmd_apply(args) -> int:
     report = {
         "command": "apply",
         "inputs": _inputs_block(args, a),
-        "results": {"conjugated": conjugated.text_rows()},
+        "results": {"conjugated": conjugated},
     }
     return _emit(report, failed=False)
 
@@ -247,8 +272,8 @@ def _cmd_decompose(args) -> int:
         "inputs": _inputs_block(args, a),
         "results": {
             "mode": mode,
-            "sym_part": pair.sym.text_rows(),
-            "antisym_part": pair.antisym.text_rows(),
+            "sym_part": pair.sym,
+            "antisym_part": pair.antisym,
         },
         "checks": [_check_json(ch) for ch in checks],
     }
@@ -278,9 +303,9 @@ def _cmd_blockform(args) -> int:
                 "plus_indices": list(form.partition.plus_indices),
                 "minus_indices": list(form.partition.minus_indices),
                 "permutation": list(form.permutation.images),
-                "plus_block": form.plus_block.text_rows(),
-                "minus_block": form.minus_block.text_rows(),
-                "conjugated": form.conjugated.text_rows(),
+                "plus_block": form.plus_block,
+                "minus_block": form.minus_block,
+                "conjugated": form.conjugated,
             }
         )
         gathered = _gather_by_permutation(a, form.permutation)
@@ -308,9 +333,9 @@ def _cmd_blockform(args) -> int:
                 "plus_indices": list(form.partition.plus_indices),
                 "minus_indices": list(form.partition.minus_indices),
                 "permutation": list(form.permutation.images),
-                "upper_block": form.upper_block.text_rows(),
-                "lower_block": form.lower_block.text_rows(),
-                "conjugated": form.conjugated.text_rows(),
+                "upper_block": form.upper_block,
+                "lower_block": form.lower_block,
+                "conjugated": form.conjugated,
             }
         )
         gathered = _gather_by_permutation(a, form.permutation)
@@ -351,7 +376,7 @@ def _cmd_orbit(args) -> int:
         "stabilizer_size": rep.stabilizer_size,
     }
     if rep.enumerated is not None:
-        results["enumerated_orbit"] = [m.text_rows() for m in rep.enumerated]
+        results["enumerated_orbit"] = rep.enumerated
         results["stabilizer"] = [str(c) for c in orbit.stabilizer_elements(a, cap=args.orbit_cap)]
     else:
         results["enumeration"] = f"skipped: n={a.rows} exceeds --orbit-cap {args.orbit_cap}"

@@ -59,6 +59,18 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
+def _lowest_terms(
+    nums: tuple[tuple[int, ...], ...], den: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The int table nums / den with the common factor of den and every
+    numerator divided out (den 1 for a zero or empty table)."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(nums))
+        if g != 1:
+            return tuple(tuple(e // g for e in row) for row in nums), den // g
+    return nums, den
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals; rectangular shapes allowed.
 
@@ -99,11 +111,7 @@ class Matrix:
                 tuple(e.numerator * (common // e.denominator) for e in row) for row in table
             )
             den *= common
-        if den != 1:
-            g = math.gcd(den, *chain.from_iterable(table))
-            if g != 1:
-                table = tuple(tuple(e // g for e in row) for row in table)
-                den //= g
+        table, den = _lowest_terms(table, den)
         object.__setattr__(self, "rows", len(table))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "nums", table)
@@ -122,6 +130,15 @@ class Matrix:
         object.__setattr__(m, "den", den)
         object.__setattr__(m, "_entries", None)
         return m
+
+    @classmethod
+    def _reduced(cls, nums: tuple[tuple[int, ...], ...], cols: int, den: int) -> Matrix:
+        """A Matrix from int row tuples of width `cols` over a positive `den`,
+        brought to lowest terms: only for tables built from Matrix tables
+        (products, sums, picks), whose one possible defect is a common
+        factor of `den` and every numerator."""
+        nums, den = _lowest_terms(nums, den)
+        return cls._trusted(nums, cols, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Matrix is immutable")
@@ -191,13 +208,13 @@ class Matrix:
             )
         den = math.lcm(self.den, other.den)
         k1, k2 = den // self.den, den // other.den
-        return Matrix(
-            (
+        return Matrix._reduced(
+            tuple(
                 tuple(a * k1 + b * k2 for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.nums, other.nums)
             ),
-            cols=self.cols,
-            den=den,
+            self.cols,
+            den,
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
@@ -211,10 +228,10 @@ class Matrix:
     def __mul__(self, scalar: ScalarLike) -> Matrix:
         k = as_scalar(scalar)
         p = k.numerator
-        return Matrix(
-            (tuple(p * e for e in row) for row in self.nums),
-            cols=self.cols,
-            den=self.den * k.denominator,
+        return Matrix._reduced(
+            tuple(tuple(p * e for e in row) for row in self.nums),
+            self.cols,
+            self.den * k.denominator,
         )
 
     __rmul__ = __mul__
@@ -227,10 +244,10 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = list(zip(*other.nums)) or [()] * other.cols
-        return Matrix(
-            (tuple(sum(map(mul, row, col)) for col in cols) for row in self.nums),
-            cols=other.cols,
-            den=self.den * other.den,
+        return Matrix._reduced(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.nums),
+            other.cols,
+            self.den * other.den,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -268,6 +285,14 @@ class SignVector:
         if values[0] != 1:
             raise FirstCoordinateNotOneError("coordinate 1 of a sign vector must be +1")
         object.__setattr__(self, "signs", values)
+
+    @classmethod
+    def _trusted(cls, signs: tuple[int, ...]) -> SignVector:
+        """A SignVector stored as given, with no check: only for a nonempty
+        tuple of int +1/-1 entries whose first entry is +1."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "signs", signs)
+        return v
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SignVector is immutable")
@@ -380,7 +405,11 @@ def sign_conjugate(a: Matrix, c: SignVector) -> Matrix:
 
 def signature_matrix(c: SignVector) -> Matrix:
     """diag(c_1, ..., c_n); a signature matrix is its own inverse."""
-    return Matrix.diagonal(c.signs)
+    signs = c.signs
+    n = len(signs)
+    return Matrix._trusted(
+        tuple(tuple(s if i == j else 0 for j in range(n)) for i, s in enumerate(signs)), n, 1
+    )
 
 
 def conjugate_by_signature(a: Matrix, c: SignVector) -> Matrix:

@@ -42,13 +42,13 @@ def _check_pair(a: Matrix, c: SignVector) -> None:
 def _masked(a: Matrix, c: SignVector, keep: int) -> Matrix:
     """Entries where c_i * c_j = keep, zero elsewhere."""
     _check_pair(a, c)
-    return Matrix(
-        (
+    return Matrix._reduced(
+        tuple(
             tuple(e if ci * cj == keep else 0 for e, cj in zip(row, c.signs))
             for row, ci in zip(a.nums, c.signs)
         ),
-        cols=a.cols,
-        den=a.den,
+        a.cols,
+        a.den,
     )
 
 

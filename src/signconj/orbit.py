@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from .core import Matrix, SignVector, sign_conjugate
 from .errors import SizeCapExceededError
@@ -86,16 +87,16 @@ def graph_components(a: Matrix) -> ComponentLabeling:
 def _flips(n: int, groups: list[list[int]]) -> Iterator[SignVector]:
     """Every length-n vector that is -1 on a union of `groups` and +1
     elsewhere.  The groups are disjoint, avoid vertex 0 and are listed by
-    increasing first vertex, so counting up with the first group as the
-    high bit gives the lexicographic order of the tail bits."""
-    width = len(groups)
-    for mask in range(1 << width):
-        signs = [1] * n
-        for k, group in enumerate(groups):
-            if (mask >> (width - 1 - k)) & 1:
-                for v in group:
-                    signs[v] = -1
-        yield SignVector(signs)
+    increasing first vertex, so taking the groups' signs in product order
+    (first group slowest, +1 before -1) gives the lexicographic order of
+    the tail bits.  Each vector is +1 at vertex 0 and +1/-1 elsewhere by
+    construction, so it is stored without re-validation."""
+    owner = [0] * n  # 0 for a vertex in no group, k for one in group k
+    for k, group in enumerate(groups, start=1):
+        for v in group:
+            owner[v] = k
+    for choice in product((1, -1), repeat=len(groups)):
+        yield SignVector._trusted(tuple(map(((1,) + choice).__getitem__, owner)))
 
 
 def _components(a: Matrix) -> list[list[int]]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from signconj import (
+    DimensionMismatchError,
     Matrix,
     NotSignAntisymmetricError,
     NotSignSymmetricError,
@@ -124,6 +125,15 @@ class TestAntisymBlockForm:
         assert (form.upper_block.rows, form.upper_block.cols) == (2, 0)
         assert (form.lower_block.rows, form.lower_block.cols) == (0, 2)
         assert assemble_antidiag(form.upper_block, form.lower_block) == Matrix.zero(2)
+
+    def test_assembly_shapes(self):
+        d, e = Matrix([[1, 2, 3]]), Matrix([[4], [5]])
+        assert assemble_diag(d, e) == Matrix([[1, 2, 3, 0], [0, 0, 0, 4], [0, 0, 0, 5]])
+        assert assemble_antidiag(d, Matrix([[6], [7], [8]])) == Matrix(
+            [[0, 1, 2, 3], [6, 0, 0, 0], [7, 0, 0, 0], [8, 0, 0, 0]]
+        )
+        with pytest.raises(DimensionMismatchError):
+            assemble_antidiag(d, e)
 
     def test_rejects_unnegated_matrix(self):
         with pytest.raises(NotSignAntisymmetricError):

@@ -444,12 +444,24 @@ report_text = st.one_of(
     st.text(),
     st.text(st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f a\u00e9\u2028\u20ac\U0001f600')),
 )
+report_matrix = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            min_size=shape[1],
+            max_size=shape[1],
+        ),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: Matrix(rows, cols=shape[1]))
+)
 report_leaf = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(min_value=-(10**400), max_value=10**400),
     report_text,
+    report_matrix,
 )
 report_value = st.recursive(
     report_leaf,
@@ -463,14 +475,41 @@ report_value = st.recursive(
 )
 
 
+def with_text_rows(value):
+    """The report with every Matrix replaced by its text_rows()."""
+    if isinstance(value, Matrix):
+        return value.text_rows()
+    if isinstance(value, (list, tuple)):
+        return [with_text_rows(v) for v in value]
+    if isinstance(value, dict):
+        return {k: with_text_rows(v) for k, v in value.items()}
+    return value
+
+
+def emitted(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit(value, failed=False) == 0
+    return out.getvalue()
+
+
 class TestReportRenderer:
     @settings(max_examples=300, deadline=None)
     @given(report_value)
     def test_matches_indented_json_dumps(self, value):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli._emit(value, failed=False) == 0
-        assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+        assert emitted(value) == json.dumps(with_text_rows(value), indent=2) + "\n"
+
+    def test_shared_row_at_two_depths_and_two_denominators(self):
+        # the int row (1, 2) over den 1, over den 3, and at a second depth
+        whole = Matrix([[1, 2], [1, 2]])
+        thirds = Matrix([[1, 2], [3, 0]], den=3)
+        assert thirds.nums[0] == whole.nums[0] and thirds.den == 3
+        report = {
+            "a": whole,
+            "b": [thirds, {"c": whole, "d": (thirds, whole)}],
+            "e": [Matrix([], cols=0), Matrix([[], []], cols=0), Matrix([], cols=2)],
+        }
+        assert emitted(report) == json.dumps(with_text_rows(report), indent=2) + "\n"
 
     def test_quoted_non_ascii_path_round_trips(self, capsys, tmp_path):
         path = write_matrix(tmp_path, 'm"\u00e9.csv', "0,1\n1,0\n")

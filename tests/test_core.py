@@ -23,7 +23,7 @@ from signconj import (
     sign_conjugate,
     signature_matrix,
 )
-from signconj import core, invariants, verification
+from signconj import blockform, core, invariants, orbit, verification
 from signconj.blockform import antisym_block_form, sym_block_form
 from signconj.decomposition import antisym_part, sym_part
 from signconj.invariants import char_poly, determinant, perm_poly, permanent
@@ -359,6 +359,72 @@ class TestTrustedConstruction:
         for r in (-a, a.transpose()):
             assert _stored(r) == _stored(Matrix(r.nums, cols=r.cols, den=r.den))
         assert (a.transpose().rows, a.transpose().cols) == (a.cols, a.rows)
+
+
+class TestReducedConstruction:
+    """Tables built from Matrix tables (products, sums, scalings, picks,
+    block assemblies, masked parts) and signature matrices are stored
+    without `Matrix.__init__`; each result is exactly what `__init__`
+    stores for the same table, and the census's sign vectors are exactly
+    what `SignVector.__init__` stores."""
+
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape[1]),
+                st.lists(
+                    st.tuples(*[st.integers(-30, 30)] * shape[1]),
+                    min_size=shape[0],
+                    max_size=shape[0],
+                ).map(tuple),
+            )
+        ),
+        st.integers(1, 60),
+    )
+    @example((0, ()), 6)
+    @example((0, ((), (), ())), 6)
+    @example((3, ()), 6)
+    @example((2, ((0, 0), (0, 0))), 12)
+    def test_reduced_matches_init(self, data, den):
+        cols, nums = data
+        assert _stored(Matrix._reduced(nums, cols, den)) == _stored(
+            Matrix(nums, cols=cols, den=den)
+        )
+
+    @given(table_pair_st(), scalar_st)
+    def test_operations(self, data, k):
+        cols, rows, other = data
+        a, b = Matrix(rows, cols=cols), Matrix(other, cols=cols)
+        for r in (a + b, a - b, a * k, a @ b.transpose(), b.transpose() @ a,
+                  blockform.assemble_diag(a, b), blockform.assemble_antidiag(a, b.transpose())):
+            assert _stored(r) == _stored(Matrix(r.nums, cols=r.cols, den=r.den))
+
+    @given(matrix_and_signs_st())
+    def test_picks_and_masked_parts(self, data):
+        rows, signs = data
+        a, c = Matrix(rows), SignVector(signs)
+        fixed, negated = sym_part(a, c), antisym_part(a, c)
+        sym, anti = sym_block_form(fixed, c), antisym_block_form(negated, c)
+        for r in (fixed, negated, sym.plus_block, sym.minus_block, sym.conjugated,
+                  anti.upper_block, anti.lower_block, anti.conjugated):
+            assert _stored(r) == _stored(Matrix(r.nums, cols=r.cols, den=r.den))
+
+    @given(signs_st)
+    def test_signature_matrix(self, signs):
+        p = signature_matrix(SignVector(signs))
+        assert _stored(p) == _stored(Matrix.diagonal(signs))
+
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((0, 0, 1, -2)), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ))
+    def test_census_sign_vectors(self, rows):
+        a = Matrix(rows)
+        vectors = list(orbit._coset_representatives(a)) + list(orbit.stabilizer_elements(a))
+        for v in vectors:
+            assert type(v.signs) is tuple
+            assert all(type(s) is int for s in v.signs)
+            assert v.signs == SignVector(v.signs).signs
 
 
 class TestNoEntryCoercion:
