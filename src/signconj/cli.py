@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import blockform, decomposition, group, invariants, orbit
-from .core import Matrix, SignVector, as_scalar, parse_sign_vector, sign_conjugate
+from .core import Matrix, as_scalar, parse_sign_vector, sign_conjugate
 from .errors import InternalConsistencyError, MatrixParseError, SignConjError
 from .invariants import (
     DEFAULT_PERM_POLY_CAP,
@@ -232,41 +232,25 @@ def _cmd_invariants(args) -> int:
     return _emit(report, failed=False)
 
 
-def _additivity_checks(a: Matrix, c: SignVector | None) -> list[CheckOutcome]:
-    checks = []
-    if a.rows < 2:
-        return checks
-    if c is not None:
-        pairs = [
-            ("order2_minor_sum_additive", decomposition.minor2_additivity(a, c)),
-            ("order2_permanent_sum_additive", decomposition.permanent2_additivity(a, c)),
-        ]
-    else:
-        pairs = [
-            ("order2_minor_sum_additive", decomposition.classic_minor2_additivity(a)),
-            ("order2_permanent_sum_additive", decomposition.classic_permanent2_additivity(a)),
-        ]
-    for name, (lhs, rhs_sym, rhs_anti) in pairs:
-        out = CheckOutcome(name=name)
-        out.record(lhs, rhs_sym + rhs_anti)
-        checks.append(out)
-    return checks
-
-
 def _cmd_decompose(args) -> int:
     a = load_matrix(args.matrix, args.format)
     if args.classic:
         pair = decomposition.classic_split(a)
-        c = None
         mode = "transpose"
     else:
-        c = parse_sign_vector(args.signs)
-        pair = decomposition.split(a, c)
+        pair = decomposition.split(a, parse_sign_vector(args.signs))
         mode = "signs"
-    checks = _additivity_checks(a, c)
     reconstruct = CheckOutcome(name="parts_reconstruct_input")
     reconstruct.record(pair.sym + pair.antisym, a)
-    checks.insert(0, reconstruct)
+    checks = [reconstruct]
+    if a.rows >= 2:
+        for name, order2_sum in (
+            ("order2_minor_sum_additive", decomposition.order2_minor_sum),
+            ("order2_permanent_sum_additive", decomposition.order2_permanent_sum),
+        ):
+            out = CheckOutcome(name=name)
+            out.record(order2_sum(a), order2_sum(pair.sym) + order2_sum(pair.antisym))
+            checks.append(out)
     report = {
         "command": "decompose",
         "inputs": _inputs_block(args, a),

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from operator import mul, neg
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -342,14 +342,27 @@ def parse_sign_vector(text: str) -> SignVector:
     return SignVector(signs)
 
 
+def _sign_vectors(n: int, groups: list[list[int]]) -> Iterator[SignVector]:
+    """Every length-n vector that is -1 on a union of `groups` and +1
+    elsewhere.  The groups are disjoint, avoid vertex 0 and are listed by
+    increasing first vertex, so taking the groups' signs in product order
+    (first group slowest, +1 before -1) gives the lexicographic order of
+    the tail bits.  Each vector is +1 at vertex 0 and +1/-1 elsewhere by
+    construction, so it is stored without re-validation."""
+    owner = [0] * n  # 0 for a vertex in no group, k for one in group k
+    for k, group in enumerate(groups, start=1):
+        for v in group:
+            owner[v] = k
+    for choice in product((1, -1), repeat=len(groups)):
+        yield SignVector._trusted(tuple(map(((1,) + choice).__getitem__, owner)))
+
+
 def admissible_sign_vectors(n: int) -> Iterator[SignVector]:
     """All 2^(n-1) sign vectors of length n, in lexicographic order of the
     tail bits (-1 reads as bit 1)."""
     if n < 1:
         raise EmptySignVectorError("sign vectors need length >= 1")
-    for mask in range(1 << (n - 1)):
-        tail = tuple(-1 if (mask >> (n - 2 - k)) & 1 else 1 for k in range(n - 1))
-        yield SignVector((1,) + tail)
+    yield from _sign_vectors(n, [[v] for v in range(1, n)])
 
 
 @dataclass(frozen=True)
@@ -376,8 +389,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def _check_conformable(a: Matrix, c: SignVector) -> None:
-    a.require_square("sign conjugation")
+def _check_conformable(a: Matrix, c: SignVector, operation: str = "sign conjugation") -> None:
+    a.require_square(operation)
     if a.rows != len(c):
         raise DimensionMismatchError(f"matrix is {a.rows}x{a.cols} but sign vector has length {len(c)}")
 

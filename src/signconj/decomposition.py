@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Matrix, SignVector, sign_conjugate
-from .errors import DimensionMismatchError, OrderOutOfRangeError, RangeError
+from .core import Matrix, SignVector, _check_conformable, sign_conjugate
+from .errors import OrderOutOfRangeError, RangeError
 
 HALF = Fraction(1, 2)
 
@@ -33,15 +33,9 @@ class DecompositionPair:
     antisym: Matrix
 
 
-def _check_pair(a: Matrix, c: SignVector) -> None:
-    a.require_square("sign decomposition")
-    if a.rows != len(c):
-        raise DimensionMismatchError(f"matrix is {a.rows}x{a.cols} but sign vector has length {len(c)}")
-
-
 def _masked(a: Matrix, c: SignVector, keep: int) -> Matrix:
     """Entries where c_i * c_j = keep, zero elsewhere."""
-    _check_pair(a, c)
+    _check_conformable(a, c, "sign decomposition")
     return Matrix._reduced(
         tuple(
             tuple(e if ci * cj == keep else 0 for e, cj in zip(row, c.signs))

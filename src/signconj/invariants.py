@@ -69,10 +69,6 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def one(cls) -> Polynomial:
-        return cls((1,))
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions: a read-only view, built on first use."""

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
 
-from .core import Matrix, SignVector, sign_conjugate
+from .core import Matrix, SignVector, _sign_vectors, sign_conjugate
 from .errors import SizeCapExceededError
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -46,57 +45,29 @@ class OrbitReport:
     enumerated: tuple[Matrix, ...] | None
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def graph_components(a: Matrix) -> ComponentLabeling:
-    """Union-find over the symmetric nonzero pattern of a square matrix."""
+    """Depth-first search over the symmetric nonzero pattern of a square
+    matrix, one search per unlabelled vertex in index order, so ids come
+    out in order of first occurrence."""
     a.require_square("graph components")
     n = a.rows
     nums = a.nums
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nums[i][j] or nums[j][i]:
-                uf.union(i, j)
-    ids: dict[int, int] = {}
-    labels = []
-    for v in range(n):
-        root = uf.find(v)
-        if root not in ids:
-            ids[root] = len(ids) + 1
-        labels.append(ids[root])
-    return ComponentLabeling(tuple(labels), len(ids))
-
-
-def _flips(n: int, groups: list[list[int]]) -> Iterator[SignVector]:
-    """Every length-n vector that is -1 on a union of `groups` and +1
-    elsewhere.  The groups are disjoint, avoid vertex 0 and are listed by
-    increasing first vertex, so taking the groups' signs in product order
-    (first group slowest, +1 before -1) gives the lexicographic order of
-    the tail bits.  Each vector is +1 at vertex 0 and +1/-1 elsewhere by
-    construction, so it is stored without re-validation."""
-    owner = [0] * n  # 0 for a vertex in no group, k for one in group k
-    for k, group in enumerate(groups, start=1):
-        for v in group:
-            owner[v] = k
-    for choice in product((1, -1), repeat=len(groups)):
-        yield SignVector._trusted(tuple(map(((1,) + choice).__getitem__, owner)))
+    labels = [0] * n
+    count = 0
+    for root in range(n):
+        if labels[root]:
+            continue
+        count += 1
+        labels[root] = count
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            row = nums[i]
+            for j in range(n):
+                if not labels[j] and (row[j] or nums[j][i]):
+                    labels[j] = count
+                    stack.append(j)
+    return ComponentLabeling(tuple(labels), count)
 
 
 def _components(a: Matrix) -> list[list[int]]:
@@ -113,7 +84,7 @@ def _coset_representatives(a: Matrix) -> Iterator[SignVector]:
     component, in lexicographic order; each is the first member of its
     coset of the stabilizer."""
     free = sorted(v for members in _components(a) for v in members[1:])
-    return _flips(a.rows, [[v] for v in free])
+    return _sign_vectors(a.rows, [[v] for v in free])
 
 
 def _enumerate_distinct(a: Matrix) -> tuple[Matrix, ...]:
@@ -145,4 +116,4 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"stabilizer enumeration for n={n} exceeds cap {cap}")
-    return tuple(_flips(n, _components(a)[1:]))
+    return tuple(_sign_vectors(n, _components(a)[1:]))

@@ -34,8 +34,7 @@ from .core import (
 )
 from .decomposition import (
     antisym_part,
-    classic_minor2_additivity,
-    classic_permanent2_additivity,
+    classic_split,
     order2_minor_sum,
     order2_permanent_sum,
     subspace_dims,
@@ -198,7 +197,6 @@ def verify_matrix(
         skipped.append(("permanent_invariant", f"n={n} exceeds permanent cap {perm_cap}"))
     if not do_permpoly:
         for name in ("perm_poly_invariant", "permanent_sum_invariant",
-                     "permanent2_additivity_sign_split", "permanent2_additivity_transpose_split",
                      "sym_part_factorizations", "antisym_part_factorizations"):
             skipped.append((name, f"n={n} exceeds permanental-polynomial cap {permpoly_cap}"))
 
@@ -290,10 +288,9 @@ def verify_matrix(
             check("minor2_additivity_sign_split").record(
                 minor2_own, order2_minor_sum(fixed) + order2_minor_sum(negated), label
             )
-            if do_permpoly:
-                check("permanent2_additivity_sign_split").record(
-                    perm2_own, order2_permanent_sum(fixed) + order2_permanent_sum(negated), label
-                )
+            check("permanent2_additivity_sign_split").record(
+                perm2_own, order2_permanent_sum(fixed) + order2_permanent_sum(negated), label
+            )
 
         sym_form = sym_block_form(fixed, c)
         gathered = _gather_by_permutation(fixed, sym_form.permutation)
@@ -324,11 +321,13 @@ def verify_matrix(
                 )
 
     if n >= 2:
-        lhs, rhs_sym, rhs_anti = classic_minor2_additivity(a)
-        check("minor2_additivity_transpose_split").record(lhs, rhs_sym + rhs_anti)
-        if do_permpoly:
-            lhs, rhs_sym, rhs_anti = classic_permanent2_additivity(a)
-            check("permanent2_additivity_transpose_split").record(lhs, rhs_sym + rhs_anti)
+        classic = classic_split(a)
+        check("minor2_additivity_transpose_split").record(
+            minor2_own, order2_minor_sum(classic.sym) + order2_minor_sum(classic.antisym)
+        )
+        check("permanent2_additivity_transpose_split").record(
+            perm2_own, order2_permanent_sum(classic.sym) + order2_permanent_sum(classic.antisym)
+        )
     else:
         skipped.append(("minor2_additivity", "n=1 has no order-2 minors"))
 

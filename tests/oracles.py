@@ -325,6 +325,28 @@ def stabilizer_by_matrices(a: Matrix) -> set[SignVector]:
     return {c for c in admissible_sign_vectors(a.rows) if sign_conjugate(a, c) == a}
 
 
+def components_by_reachability(a: Matrix) -> tuple[tuple[int, ...], int]:
+    """(labels, count) of the connected components of the symmetric
+    nonzero pattern (i != j), from the boolean transitive closure of the
+    adjacency (Warshall); vertex v joins the component of the smallest
+    vertex it reaches, and ids go 1..count in order of first occurrence."""
+    n = a.rows
+    reach = [
+        [i == j or a.entries[i][j] != 0 or a.entries[j][i] != 0 for j in range(n)]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    ids: dict[int, int] = {}
+    labels = tuple(
+        ids.setdefault(reach[v].index(True), len(ids) + 1) for v in range(n)
+    )
+    return labels, len(ids)
+
+
 def permutation_matrix(p: Permutation) -> Matrix:
     """0/1 matrix whose column j is the standard basis vector e_{p.images[j]}."""
     n = len(p)

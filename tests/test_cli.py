@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signconj import InternalConsistencyError, Matrix, blockform, cli, core, orbit
+from signconj import InternalConsistencyError, Matrix, blockform, cli, core, decomposition, orbit
 from signconj.cli import load_matrix, main, parse_matrix_document
 from oracles import orbit_by_matrices
 
@@ -198,6 +198,38 @@ class TestDecompose:
         code, out, err = run_cli(capsys, "decompose", "--matrix", path, *mode)
         assert (code, err) == (0, "")
         assert all(c["passed"] for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("mode, split", [
+        (["--signs", "1,-1,-1"], "split"),
+        (["--classic"], "classic_split"),
+    ])
+    def test_splits_once(self, capsys, tmp_path, monkeypatch, mode, split):
+        real = getattr(decomposition, split)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(decomposition, split, spy)
+        path = write_matrix(tmp_path, "m.csv", "1,2,0\n3,4,5\n0,6,7\n")
+        code, out, _ = run_cli(capsys, "decompose", "--matrix", path, *mode)
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == [
+            "parts_reconstruct_input",
+            "order2_minor_sum_additive",
+            "order2_permanent_sum_additive",
+        ]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text, signs, message", [
+        ("1,2,3\n4,5,6\n", "1,-1", "sign decomposition needs a square matrix, got 2x3"),
+        ("1,2\n3,4\n", "1,-1,1", "matrix is 2x2 but sign vector has length 3"),
+    ])
+    def test_signs_mode_input_errors(self, capsys, tmp_path, text, signs, message):
+        path = write_matrix(tmp_path, "m.csv", text)
+        code, out, err = run_cli(capsys, "decompose", "--matrix", path, "--signs", signs)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_requires_exactly_one_mode(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.csv", "1,2\n3,4\n")

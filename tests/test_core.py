@@ -156,6 +156,23 @@ class TestSignVector:
         assert [v.signs for v in vs] == [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
 
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_admissible_matches_bit_order_listing(self, n):
+        # tail bits of mask m, most significant first, read off bin(); -1 is bit 1
+        listing = [
+            (1,) + tuple(-1 if bit == "1" else 1 for bit in bin(m | 1 << (n - 1))[3:])
+            for m in range(1 << (n - 1))
+        ]
+        vs = list(admissible_sign_vectors(n))
+        assert [v.signs for v in vs] == listing
+        assert vs == [SignVector(signs) for signs in listing]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_admissible_rejects_empty_length_on_first_use(self, n):
+        vectors = admissible_sign_vectors(n)
+        with pytest.raises(EmptySignVectorError):
+            next(vectors)
+
 class TestPermutation:
     def test_validation(self):
         with pytest.raises(DimensionMismatchError):

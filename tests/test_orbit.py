@@ -25,7 +25,12 @@ from signconj import (
     trace,
 )
 from signconj.orbit import _coset_representatives
-from oracles import orbit_by_matrices, random_sparse_matrix, stabilizer_by_matrices
+from oracles import (
+    components_by_reachability,
+    orbit_by_matrices,
+    random_sparse_matrix,
+    stabilizer_by_matrices,
+)
 
 EDGE_PLUS_LOOP = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
 
@@ -58,6 +63,36 @@ class TestGraphComponents:
             assert graph_components(a).labels == graph_components(a.transpose()).labels
             shifted = a + Matrix.diagonal([rng.randint(1, 5) for _ in range(n)])
             assert graph_components(a).labels == graph_components(shifted).labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # per pair i < j: no entry, a_ij only, a_ji only, or both
+                st.lists(st.sampled_from("....ulb"), min_size=n * n, max_size=n * n),
+                st.lists(st.sampled_from([0, 0, 4, "-1/2"]), min_size=n, max_size=n),
+                st.sets(st.integers(0, n - 1)),
+            )
+        )
+    )
+    def test_matches_reachability_closure(self, drawn):
+        n, kinds, diagonal, zero_rows = drawn
+        rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                kind = kinds[i * n + j]
+                if kind in "ub":
+                    rows[i][j] = 3
+                if kind in "lb":
+                    rows[j][i] = -2
+        for i in zero_rows:
+            rows[i] = [0] * n
+        a = Matrix(rows)
+        labeling = graph_components(a)
+        assert (labeling.labels, labeling.count) == components_by_reachability(a)
+        first_seen = list(dict.fromkeys(labeling.labels))
+        assert first_seen == list(range(1, labeling.count + 1))
 
     def test_requires_square(self):
         with pytest.raises(NotSquareError):

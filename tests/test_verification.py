@@ -11,6 +11,7 @@ from signconj import (
     Polynomial,
     RangeError,
     blockform,
+    decomposition,
     graph_components,
     invariants,
     parse_sign_vector,
@@ -274,6 +275,45 @@ class TestOneBlockFormPerVector:
         report = verify_matrix(random_matrix(random.Random(19), 5))
         assert report.passed
         assert calls == {"sym_block_form": 16, "antisym_block_form": 16}
+
+
+class TestOrderTwoSums:
+    A = Matrix([[1, 2, 0, "1/2", 3], [3, 4, 5, 0, 1], [0, 6, 7, 1, 0], [2, 0, "-1/3", 1, 2],
+                [1, 1, 0, 2, 5]])
+    PERMANENT_CHECKS = {"permanent2_additivity_sign_split", "permanent2_additivity_transpose_split"}
+
+    def test_one_transpose_split_per_report(self, monkeypatch):
+        real = decomposition.classic_split
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(decomposition, "classic_split", spy)
+        monkeypatch.setattr(verification, "classic_split", spy, raising=False)
+        report = verify_matrix(self.A)
+        assert report.passed
+        assert {"minor2_additivity_transpose_split", "permanent2_additivity_transpose_split"} <= {
+            c.name for c in report.checks
+        }
+        assert calls == [self.A]
+
+    # the order-2 sums are O(n^2) closed forms: the permanental-polynomial
+    # cap bounds no cost there
+    @pytest.mark.parametrize("samples", [None, 3])
+    def test_permanent_checks_run_above_permpoly_cap(self, samples):
+        report = verify_matrix(self.A, samples=samples, permpoly_cap=3)
+        assert report.passed
+        assert self.PERMANENT_CHECKS <= {c.name for c in report.checks}
+        assert not self.PERMANENT_CHECKS & {name for name, _ in report.skipped}
+        assert "perm_poly_invariant" in {name for name, _ in report.skipped}
+
+    def test_perturbed_permanent_sum_fails_above_permpoly_cap(self, monkeypatch):
+        real = verification.order2_permanent_sum
+        monkeypatch.setattr(verification, "order2_permanent_sum", lambda m: real(m) + 1)
+        report = verify_matrix(self.A, permpoly_cap=3)
+        assert {c.name for c in report.failures()} == self.PERMANENT_CHECKS
 
 
 class TestPrincipalSums:
