@@ -5,11 +5,12 @@ Every kernel runs on a matrix's stored cleared table, int numerators
 `a.nums` over the common denominator `a.den`, with plain Python int
 arithmetic, which is 20-50x faster than Fraction arithmetic and just as
 exact; results are rescaled back to rationals at the end.  The
-permanent is Glynn's formula, a signed sum
-over the 2^(n-1) admissible sign vectors d with d_1 = +1, with its
-column sums packed into one int; the permanental polynomial is one
-scalar Ryser walk over N - 2^k*I whose coefficients are read back as
-base-2^k digits, so the two share no kernel.
+permanent is Glynn's formula, a signed sum over the 2^(n-1) admissible
+sign vectors d with d_1 = +1: the column sums of the states of d_2..d_9
+are packed as records of two ints, and each step of a Gray-code walk
+over d_10..d_n decodes those 2^8 terms at once.  The permanental
+polynomial is one scalar Ryser walk over N - 2^k*I whose coefficients
+are read back as base-2^k digits, so the two share no kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
@@ -28,6 +29,9 @@ DEFAULT_PERM_POLY_CAP = 12
 
 # struct codes of the signed column-sum fields _perm_glynn_int decodes natively
 _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
+# _perm_glynn_int builds the 2^_LOW_ROWS sign states of d_2.. once and decodes
+# them all at every step of its Gray-code walk over the rows above them
+_LOW_ROWS = 8
 
 
 class Polynomial:
@@ -157,14 +161,21 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
         perm(N) = 2^-(n-1) * sum over d in {+-1}^n with d_1 = +1 of
                   prod_k d_k * prod_j (sum_i d_i * N_ij).
 
-    The walk visits d_2..d_n in Gray-code order, so each step flips one d_k.
-    The n column sums are fixed-width fields of one int, each biased by half
-    its range so that no field borrows from its neighbour: a step is one add
-    of a precomputed packed -+2*row_k, and XOR with the bias turns every
-    field into two's complement for decoding.  Fields are the narrowest of
-    16, 32 or 64 bits whose signed range holds the largest absolute column
-    sum, decoded by struct; above 64 bits they are whole bytes decoded by
-    int.from_bytes.
+    The n column sums of one d are fixed-width fields of one record, each
+    biased by half its range so that no field borrows from its neighbour:
+    flipping d_k is one add of a packed -+2*row_k, and XOR with the bias
+    turns every field into two's complement for decoding.  Fields are the
+    narrowest of 16, 32 or 64 bits whose signed range holds the largest
+    absolute column sum, decoded by struct; above 64 bits they are whole
+    bytes decoded by int.from_bytes and grouped n at a time.
+
+    The 2^k states of the low rows d_2..d_(k+1), k = min(_LOW_ROWS, n-1),
+    are built by doubling and kept as two block ints of consecutive
+    records: the states with an even and with an odd number of -1s.  A
+    Gray-code walk over the high rows d_(k+2)..d_n adds one replicated
+    -+2*row_k to both blocks per step and decodes each block with one
+    to_bytes and one unpack, 2^(k-1) terms at a time.  Each step flips one
+    d, so the two blocks trade parities at every step.
     """
     n = len(rows)
     if n < 2:
@@ -175,40 +186,51 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
         (w for w in (16, 32, 64) if bound >> (w - 1) == 0), 8 * (bound.bit_length() // 8 + 1)
     )
     size = width // 8
-    nbytes = n * size
     if width in _FIELD_CODES:
-        decode = struct.Struct(f"<{n}{_FIELD_CODES[width]}").unpack
+        decode = struct.Struct(f"<{n}{_FIELD_CODES[width]}").iter_unpack
     else:
 
-        def decode(data: bytes) -> list[int]:
-            return [
-                int.from_bytes(data[k : k + size], "little", signed=True)
-                for k in range(0, nbytes, size)
+        def decode(data: bytes) -> Iterable[tuple[int, ...]]:
+            fields = [
+                int.from_bytes(data[i : i + size], "little", signed=True)
+                for i in range(0, len(data), size)
             ]
+            return zip(*[iter(fields)] * n)
 
     shifts = range(0, n * width, width)
-    packed_rows = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+    packed_rows = [sum(map(lshift, row, shifts)) for row in rows]
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-    packed = bias + sum(packed_rows)
-    # the first flip of each d_k takes it from +1 to -1; later flips alternate
-    steps = [-2 * r for r in packed_rows[1:]]
-    pos = math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
-    neg = 0
-    # d_2 flips on every odd step, which leaves an odd number of -1s, so the
-    # steps pair up: flip d_2 for a negative term, then the d_k the Gray code
-    # names at the even step k for a positive one
-    first = steps[0]
-    for k in range(2, 1 << (n - 1), 2):
-        packed += first
-        first = -first
-        neg += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
-        b = (k & -k).bit_length() - 1
+    k = min(_LOW_ROWS, n - 1)
+    # doubling over d_2..d_(k+1): a flip of d_r moves each state to the other
+    # parity, so even' = even ++ (odd - 2*row_r) and odd' = odd ++ (even -
+    # 2*row_r), with `reps` holding a 1 at the start of every record
+    even = bias + sum(packed_rows)
+    odd = even - 2 * packed_rows[1]
+    reps, span = 1, n * width
+    for row in packed_rows[2 : k + 1]:
+        flip = 2 * row * reps
+        even, odd = even + ((odd - flip) << span), odd + ((even - flip) << span)
+        reps += reps << span
+        span *= 2
+    block_bias = bias * reps
+    nbytes = span // 8
+
+    def terms(block: int) -> int:
+        return sum(map(math.prod, decode((block ^ block_bias).to_bytes(nbytes, "little"))))
+
+    pos = terms(even)
+    neg = terms(odd)
+    high = packed_rows[k + 1 :]
+    # the first flip of each high d_k takes it from +1 to -1; later flips
+    # alternate
+    steps = [-2 * row * reps for row in high]
+    for t in range(1, 1 << len(high)):
+        b = (t & -t).bit_length() - 1
         step = steps[b]
         steps[b] = -step
-        packed += step
-        pos += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
-    packed += first
-    neg += math.prod(decode((packed ^ bias).to_bytes(nbytes, "little")))
+        even, odd = odd + step, even + step
+        pos += terms(even)
+        neg += terms(odd)
     # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
     return (pos - neg) >> (n - 1)
 

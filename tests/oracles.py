@@ -5,9 +5,11 @@ expansion, Lagrange interpolation, the Faddeev-LeVerrier recursion,
 Ryser's inclusion-exclusion (`ryser_permanent`, and `ryser_perm_poly`
 with polynomial-valued row products), walks over principal index
 subsets - so the production algorithms are checked against routes that
-share nothing with them.  The subset sums take their route from the
-walk alone: each principal submatrix goes through the package's own int
-kernels.
+share nothing with them.  The subset sums walk the principal index
+subsets: each principal permanent is `ryser_permanent`, which shares no
+code with the package's Glynn walk, and each principal minor is the
+package's Bareiss determinant, which the package itself never sums over
+subsets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from signconj import (
     admissible_sign_vectors,
     sign_conjugate,
 )
-from signconj.invariants import _bareiss_int, _perm_glynn_int
+from signconj.invariants import _bareiss_int
 
 
 def naive_permanent(a: Matrix) -> Fraction:
@@ -303,7 +305,7 @@ def sum_principal_permanents(a: Matrix, k: int) -> Fraction:
     total = 0
     for subset in combinations(range(a.rows), k):
         sub = [[rows[i][j] for j in subset] for i in subset]
-        total += _perm_glynn_int(sub)
+        total += ryser_permanent(sub)
     return Fraction(total, den**k)
 
 

@@ -228,6 +228,29 @@ class TestPermanent:
         assert max(sum(abs(row[j]) for row in rows) for j in range(4)) == bound
         assert _perm_glynn_int(rows) == ryser_permanent(rows)
 
+    @pytest.mark.parametrize(
+        "bound", [2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 4 * 10**40 + 1]
+    )
+    def test_column_sum_field_width_boundaries_in_high_walk(self, bound):
+        # At n = 11 the kernel decodes d_2..d_9 as one block and Gray-walks
+        # d_10 and d_11.  The first column alternates in sign down its rows,
+        # so its sum reaches +bound only at d_i = (-1)^(i+1), which flips the
+        # high row d_10; the last column is its negation and reaches -bound
+        # in the same record.
+        n = 11
+        y = bound // n
+        x = bound - (n - 1) * y
+        column = [x] + [(-1) ** i * y for i in range(1, n)]
+        rng = random.Random(bound)
+        rows = [
+            [c, *(rng.randint(-9, 9) for _ in range(n - 2)), -c] for c in column
+        ]
+        d = [(-1) ** i for i in range(n)]
+        assert d[9] == -1
+        assert sum(di * c for di, c in zip(d, column)) == bound
+        assert max(sum(abs(row[j]) for row in rows) for j in range(n)) == bound
+        assert _perm_glynn_int(rows) == ryser_permanent(rows)
+
 
 class TestRank:
     def test_examples(self):
@@ -642,4 +665,23 @@ def test_char_poly_kernel_matches_faddeev(rows):
     )
 )
 def test_permanent_kernel_matches_ryser(rows):
+    assert _perm_glynn_int(rows) == ryser_permanent(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(9, 11), st.sampled_from([3, 2**20, 2**40, 10**25])).flatmap(
+        lambda shape: st.lists(
+            st.lists(
+                st.integers(-shape[1], shape[1]), min_size=shape[0], max_size=shape[0]
+            ),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+)
+def test_permanent_kernel_high_walk_matches_ryser(rows):
+    # n = 9 fills the decoded block with no row above it, n = 10 and 11
+    # reach the Gray walk over the rows above it, and the entry bounds
+    # reach every field width
     assert _perm_glynn_int(rows) == ryser_permanent(rows)
