@@ -12,8 +12,10 @@ stdout as deterministic JSON with every rational rendered exactly as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -38,6 +40,14 @@ def _poly_json(p: Polynomial) -> list[str]:
 def _matrix_digest(a: Matrix) -> str:
     canon = f"{a.rows};{a.cols};" + ";".join(",".join(row) for row in a.text_rows())
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+# Python (3.10.7 and later) converts at most 4300 decimal digits to an int
+# by default.  `main` lifts that limit for the results, whose integers may
+# be many times as long as the entries', so the parser keeps it as its own:
+# no run of more than 4300 digits, searched from the start of each run
+_MAX_ENTRY_DIGITS = 4300
+_TOO_MANY_DIGITS = f"(?<![0-9])[0-9]{{{_MAX_ENTRY_DIGITS + 1}}}"  # compiled on first use
 
 
 def _parse_entry(token) -> int | Fraction:
@@ -67,6 +77,10 @@ def _matrix_from_rows(raw_rows) -> Matrix:
 
 def parse_matrix_document(text: str, fmt: str) -> Matrix:
     """Parse CSV or JSON matrix text into an exact Matrix."""
+    # text no longer than the cap holds no integer over it
+    if len(text) > _MAX_ENTRY_DIGITS and re.search(_TOO_MANY_DIGITS, text):
+        where = "bad matrix entry" if fmt == "csv" else "invalid JSON"
+        raise MatrixParseError(f"{where}: an integer of more than {_MAX_ENTRY_DIGITS} digits")
     if fmt == "csv":
         # tokens keep their padding: as_scalar accepts ASCII whitespace only,
         # as it does for JSON string entries
@@ -79,7 +93,7 @@ def parse_matrix_document(text: str, fmt: str) -> Matrix:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # also integer literals over the int digit limit, and deep nesting
+        # also deep nesting
         raise MatrixParseError(f"invalid JSON: {exc}") from None
     if isinstance(doc, list):
         return _matrix_from_rows(doc)
@@ -465,11 +479,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's limit on int-to-decimal conversion, where it has one,
+    while the body runs, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _unlimited_int_text():
+            return args.func(args)
     except InternalConsistencyError as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -471,6 +471,26 @@ class TestVerify:
         assert code == 1
         assert set(failed_checks(out)) == {"orbit_matches_component_count"}
 
+    def test_component_reusing_its_first_rows_exits_1(self, capsys, tmp_path, monkeypatch):
+        # components {1,3,5} and {2,4,6}; the second keeps the rows of its
+        # first sign pattern for every pattern, so conjugates repeat
+        real = orbit._component_rows
+        seen = []
+
+        def stale_second(a, members):
+            pick, rows = real(a, members)
+            seen.append(members)
+            if len(seen) == 2:
+                rows = dict.fromkeys(rows, next(iter(rows.values())))
+            return pick, rows
+
+        monkeypatch.setattr(orbit, "_component_rows", stale_second)
+        text = "1,0,-3,0,0,0\n0,0,0,2,0,-1\n0,0,7,0,4,0\n0,0,0,0,0,0\n5,0,0,0,0,0\n0,-9,0,1,0,2\n"
+        code, out, _ = run_cli(capsys, "verify", "--matrix", write_matrix(tmp_path, "m.csv", text))
+        assert seen == [[0, 2, 4], [1, 3, 5]]
+        assert code == 1
+        assert "orbit_matches_component_count" in failed_checks(out)
+
 
 report_text = st.one_of(
     st.text(),
@@ -583,15 +603,13 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: bad matrix entry")
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
-    )
     def test_json_integer_over_digit_limit_exit_2(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.json", "[[" + "7" * 5000 + ", 1], [2, 3]]")
         code, out, err = run_cli(capsys, "invariants", "--matrix", path)
         assert code == 2
         assert out == ""
         assert err.startswith("error: invalid JSON")
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("name", ["m.csv", "m.json"])
     def test_non_utf8_file_exit_2(self, capsys, tmp_path, name):
@@ -622,3 +640,58 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: internal inconsistency: ")
         assert "Traceback" not in err
+
+
+def unlimited_str(x: int) -> str:
+    """str(x) whatever Python's limit on int-to-text conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongIntegers:
+    """Entries of up to 4300 digits, the most Python converts from text by
+    default, give results of many more; the reports print them whole."""
+
+    DIGITS4000 = GOLDEN / "digits4000.json"
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants"], ["verify"], ["blockform", "--signs", "1,1"]], ids=lambda v: v[0]
+    )
+    def test_results_over_the_digit_limit(self, capsys, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, *argv, "--matrix", str(self.DIGITS4000))
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        report = json.loads(out)
+        if argv[0] == "invariants":
+            (a, b), (c, d) = json.loads(self.DIGITS4000.read_text())["entries"]
+            assert len(str(a)) == 4000
+            assert report["results"]["determinant"] == unlimited_str(a * d - b * c)
+        else:
+            assert all(check["passed"] for check in report["checks"])
+
+    @pytest.mark.parametrize(
+        "name, template",
+        [
+            ("m.json", "[[{}, 1], [2, 3]]"),
+            ("m.json", '[["-{}", 1], [2, 3]]'),
+            ("m.json", '[["1/{}", 1], [2, 3]]'),
+            ("m.csv", "1,2\n3,{}\n"),
+            ("m.csv", "1,2\n3,{}/7\n"),
+        ],
+    )
+    def test_entry_digit_cap(self, capsys, tmp_path, name, template):
+        path = write_matrix(tmp_path, name, template.format("9" * 4300))
+        code, _, err = run_cli(capsys, "invariants", "--matrix", path)
+        assert (code, err) == (0, "")
+        path = write_matrix(tmp_path, name, template.format("9" * 4301))
+        code, out, err = run_cli(capsys, "invariants", "--matrix", path)
+        assert (code, out) == (2, "")
+        assert "an integer of more than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err

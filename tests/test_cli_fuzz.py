@@ -9,7 +9,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signconj.cli import main
@@ -19,15 +19,22 @@ good_scalar = st.one_of(
     st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
 )
 bad_scalar = st.sampled_from(["", "x", "1.5", " 2 ", "1/0", "--1", "1/-2", "1e3"])
+# over 2200 digits, so that a product of two has more than the 4300 that
+# Python converts to text by default
+long_scalar = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(2201, 2400)).map(
+    lambda t: t[0] + str(t[1]) * t[2]
+)
 
 
 @st.composite
 def grid(draw, n):
-    """Mostly a square n x n grid of valid tokens; now and then one bad
-    token, a ragged or rectangular grid, or no rows at all."""
+    """Mostly a square n x n grid of valid tokens; now and then one of long
+    integers, one bad token, a ragged or rectangular grid, or no rows at all."""
     rows = [[draw(good_scalar) for _ in range(n)] for _ in range(n)]
-    flaw = draw(st.sampled_from([None] * 8 + ["bad", "rect", "ragged", "empty"]))
-    if flaw == "bad":
+    flaw = draw(st.sampled_from([None] * 8 + ["long", "bad", "rect", "ragged", "empty"]))
+    if flaw == "long":
+        rows = [[draw(long_scalar) for _ in range(n)] for _ in range(n)]
+    elif flaw == "bad":
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(bad_scalar)
     elif flaw == "rect":
         rows = [row + ["1"] for row in rows]
@@ -144,5 +151,6 @@ def run(argv: list[str], file) -> object:
 
 @settings(max_examples=300, deadline=None)
 @given(invocation())
+@example((["invariants", "--matrix"], ("m.csv", csv_text([["1" * 2201, "-7"], ["3", "2" * 2300]]))))
 def test_main_exit_code_is_documented(case):
     assert run(*case) in (0, 1, 2, 3)

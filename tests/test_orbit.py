@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signconj import (
+    EmptySignVectorError,
     Matrix,
     NotSquareError,
     SizeCapExceededError,
@@ -115,6 +116,13 @@ class TestOrbitSize:
         report = orbit_size(Matrix([[1, 1, 1]] * 3))
         assert report.orbit_size == 4
         assert report.stabilizer_size == 1
+
+    def test_empty_matrix_rejected(self):
+        # a sign vector needs n >= 1, so the 0 x 0 matrix has no census
+        with pytest.raises(EmptySignVectorError):
+            orbit_size(Matrix.zero(0))
+        with pytest.raises(EmptySignVectorError):
+            stabilizer_elements(Matrix.zero(0))
 
     def test_enumeration_skipped_above_cap(self):
         report = orbit_size(Matrix.zero(5), cap=4)
@@ -231,3 +239,41 @@ class TestAgainstMatrixHashing:
     def test_property_sparse(self, rows):
         a = Matrix(rows)
         assert orbit_size(a).enumerated == orbit_by_matrices(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                # vertex v joins group groups[v]; groups interleave by index
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                st.permutations(range(n)),
+                st.lists(st.sampled_from("ulb"), min_size=2 * n, max_size=2 * n),
+                st.lists(
+                    st.sampled_from([1, -2, "3/4", "-5/6", "7/3"]), min_size=2 * n, max_size=2 * n
+                ),
+                st.lists(st.sampled_from([0, 0, 2, "-1/2"]), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_property_interleaved_components(self, drawn):
+        """Each group is joined by a path in a shuffled order, so the
+        components are the groups: they interleave by index, singletons
+        are isolated vertices, and entries carry denominators."""
+        groups, order, kinds, values, diagonal = drawn
+        n = len(groups)
+        rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        members = {}
+        for v in order:
+            members.setdefault(groups[v], []).append(v)
+        edges = [(p, q) for path in members.values() for p, q in zip(path, path[1:])]
+        for k, (p, q) in enumerate(edges):
+            if kinds[k] in "ub":
+                rows[p][q] = values[2 * k]
+            if kinds[k] in "lb":
+                rows[q][p] = values[2 * k + 1]
+        a = Matrix(rows)
+        report = orbit_size(a)
+        expected = orbit_by_matrices(a)
+        assert report.component_count == len(members)
+        assert report.enumerated == expected
+        assert [m.den for m in report.enumerated] == [m.den for m in expected]
