@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import re
@@ -30,7 +31,7 @@ from .invariants import (
     Polynomial,
 )
 from .orbit import DEFAULT_ENUMERATION_CAP
-from .verification import CheckOutcome, _gather_by_permutation, verify_matrix
+from .verification import CheckOutcome, _factor_sides, _record_block_form, verify_matrix
 
 
 def _poly_json(p: Polynomial) -> list[str]:
@@ -282,76 +283,44 @@ def _cmd_blockform(args) -> int:
     a = load_matrix(args.matrix, args.format)
     c = parse_sign_vector(args.signs)
     kind = decomposition.classify(a, c)
-    checks = []
-    gate = CheckOutcome(name="matrix_symmetry_class")
-    gate.record(
-        kind.value,
-        kind.value if kind is not decomposition.Symmetry.NEITHER else "symmetric or antisymmetric",
-    )
-    checks.append(gate)
+    neither = kind is decomposition.Symmetry.NEITHER
+    checks = [CheckOutcome(name="matrix_symmetry_class")]
+    checks[0].record(kind.value, "symmetric or antisymmetric" if neither else kind.value)
     results: dict = {"classification": kind.value}
-    # the factor reports compute permanents; the block form is a gather at any n
-    run_factors = a.rows <= DEFAULT_PERMANENT_CAP
-    skip_reason = f"n={a.rows} exceeds permanent cap {DEFAULT_PERMANENT_CAP}"
     omitted = {}
-    if kind is decomposition.Symmetry.SYMMETRIC:
-        form = blockform.sym_block_form(a, c)
-        results.update(
-            {
-                "plus_indices": list(form.partition.plus_indices),
-                "minus_indices": list(form.partition.minus_indices),
-                "permutation": list(form.permutation.images),
-                "plus_block": form.plus_block,
-                "minus_block": form.minus_block,
-                "conjugated": form.conjugated,
-            }
-        )
-        gathered = _gather_by_permutation(a, form.permutation)
-        similar = CheckOutcome(name="conjugate_is_block_diagonal")
-        similar.record(form.conjugated, gathered)
-        similar.record(blockform.assemble_diag(form.plus_block, form.minus_block), gathered)
-        checks.append(similar)
-        if run_factors:
-            rep = blockform.factor_invariants_sym(a, form)
-            for name, lhs, rhs in (
-                ("char_poly_factors", rep.char_full, rep.char_product),
-                ("determinant_factors", rep.det_full, rep.det_product),
-                ("permanent_factors", rep.perm_full, rep.perm_product),
-            ):
-                out = CheckOutcome(name=name)
-                out.record(lhs, rhs)
-                checks.append(out)
+    if not neither:
+        fixed = kind is decomposition.Symmetry.SYMMETRIC
+        if fixed:
+            form = blockform.sym_block_form(a, c)
+            blocks = {"plus_block": form.plus_block, "minus_block": form.minus_block}
+            similarity = "conjugate_is_block_diagonal"
+            factor_names = ("char_poly_factors", "determinant_factors", "permanent_factors")
         else:
-            for name in ("char_poly_factors", "determinant_factors", "permanent_factors"):
-                omitted[name] = skip_reason
-    elif kind is decomposition.Symmetry.ANTISYMMETRIC:
-        form = blockform.antisym_block_form(a, c)
+            form = blockform.antisym_block_form(a, c)
+            blocks = {"upper_block": form.upper_block, "lower_block": form.lower_block}
+            similarity = "conjugate_is_block_antidiagonal"
+            factor_names = ("determinant_and_permanent_factor",)
         results.update(
-            {
-                "plus_indices": list(form.partition.plus_indices),
-                "minus_indices": list(form.partition.minus_indices),
-                "permutation": list(form.permutation.images),
-                "upper_block": form.upper_block,
-                "lower_block": form.lower_block,
-                "conjugated": form.conjugated,
-            }
+            plus_indices=list(form.partition.plus_indices),
+            minus_indices=list(form.partition.minus_indices),
+            permutation=list(form.permutation.images),
+            **blocks,
+            conjugated=form.conjugated,
         )
-        gathered = _gather_by_permutation(a, form.permutation)
-        similar = CheckOutcome(name="conjugate_is_block_antidiagonal")
-        similar.record(form.conjugated, gathered)
-        similar.record(blockform.assemble_antidiag(form.upper_block, form.lower_block), gathered)
-        checks.append(similar)
-        if run_factors:
-            rep = blockform.factor_invariants_antisym(a, form)
-            out = CheckOutcome(name="determinant_and_permanent_factor")
-            if rep.det_blocks_signed is None:
-                out.record((rep.det_full, rep.perm_full), (Fraction(0), Fraction(0)))
-            else:
-                out.record((rep.det_full, rep.perm_full), (rep.det_blocks_signed, rep.perm_blocks))
-                out.note = "determinant sign is (-1)^(n/2)"
-            checks.append(out)
+        checks.append(CheckOutcome(name=similarity))
+        _record_block_form(checks[-1], a, form)
+        # the factor reports compute permanents; the block form is a gather at any n
+        if a.rows > DEFAULT_PERMANENT_CAP:
+            skip_reason = f"n={a.rows} exceeds permanent cap {DEFAULT_PERMANENT_CAP}"
+            omitted = dict.fromkeys(factor_names, skip_reason)
         else:
-            omitted["determinant_and_permanent_factor"] = skip_reason
+            sides = _factor_sides(a, form)
+            # a fixed form's sides pair three identities, a negated form's one
+            for name, (lhs, rhs) in zip(factor_names, zip(*sides) if fixed else [sides]):
+                checks.append(CheckOutcome(name=name))
+                checks[-1].record(lhs, rhs)
+            if not fixed and 2 * form.partition.plus_count == a.rows:
+                checks[-1].note = "determinant sign is (-1)^(n/2)"
     report = {
         "command": "blockform",
         "inputs": _inputs_block(args, a),
@@ -416,7 +385,10 @@ def _cmd_verify(args) -> int:
     return _emit(report, failed=not rep.passed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call."""
     parser = argparse.ArgumentParser(
         prog="signconj",
         description="Exact sign-conjugation toolkit: invariants, decompositions, "

@@ -5,6 +5,9 @@ Checks run over all admissible sign vectors when n <= 8, or over a
 seeded random sample for larger matrices.  Every outcome carries both
 sides of the asserted equality so a failure is diagnosable from the
 report alone.
+
+`_record_block_form` and `_factor_sides` state once how a block form is
+checked; `verify_matrix` and the `blockform` command both call them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from fractions import Fraction
 from functools import partial
 
 from .blockform import (
+    AntisymBlockForm,
+    SymBlockForm,
     antisym_block_form,
     assemble_antidiag,
     assemble_diag,
@@ -40,7 +45,7 @@ from .decomposition import (
     subspace_dims,
     sym_part,
 )
-from .errors import RangeError
+from .errors import NotSignAntisymmetricError, NotSignSymmetricError, RangeError
 from .group import compose
 from .invariants import (
     DEFAULT_PERM_POLY_CAP,
@@ -56,6 +61,7 @@ from .invariants import (
 from .orbit import DEFAULT_ENUMERATION_CAP, graph_components, orbit_size, stabilizer_elements
 
 EXHAUSTIVE_MAX_N = 8
+BlockForm = SymBlockForm | AntisymBlockForm
 
 ANTIDIAG_SIGN_NOTE = (
     "anti-diagonal determinant sign is (-1)^(n/2); "
@@ -172,6 +178,34 @@ def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
     both the index gather and the blocks blockform returns."""
     ids = range(1, len(p) + 1)
     return Matrix([[a.nums[p(i) - 1][p(j) - 1] for j in ids] for i in ids], den=a.den)
+
+
+def _record_block_form(out: CheckOutcome, a: Matrix, form: BlockForm, context: str = "") -> None:
+    """Record P^-1*A*P, read through the form's permutation, against the
+    form's conjugated matrix and then against the assembly of its blocks."""
+    gathered = _gather_by_permutation(a, form.permutation)
+    out.record(form.conjugated, gathered, context)
+    if isinstance(form, SymBlockForm):
+        blocks = assemble_diag(form.plus_block, form.minus_block)
+    else:
+        blocks = assemble_antidiag(form.upper_block, form.lower_block)
+    out.record(blocks, gathered, context)
+
+
+def _factor_sides(a: Matrix, form: BlockForm) -> tuple[tuple, tuple]:
+    """A's invariants next to the block products they factor into: (char,
+    det, perm) for a fixed form; (det, perm) for a negated one, next to
+    (0, 0) when its sign classes do not balance."""
+    if isinstance(form, SymBlockForm):
+        rep = factor_invariants_sym(a, form)
+        return (
+            (rep.char_full, rep.det_full, rep.perm_full),
+            (rep.char_product, rep.det_product, rep.perm_product),
+        )
+    rep = factor_invariants_antisym(a, form)
+    if rep.det_blocks_signed is None:
+        return (rep.det_full, rep.perm_full), (Fraction(0), Fraction(0))
+    return (rep.det_full, rep.perm_full), (rep.det_blocks_signed, rep.perm_blocks)
 
 
 def verify_matrix(
@@ -292,33 +326,23 @@ def verify_matrix(
                 perm2_own, order2_permanent_sum(fixed) + order2_permanent_sum(negated), label
             )
 
-        sym_form = sym_block_form(fixed, c)
-        gathered = _gather_by_permutation(fixed, sym_form.permutation)
-        out = check("sym_part_block_similarity")
-        out.record(sym_form.conjugated, gathered, label)
-        out.record(assemble_diag(sym_form.plus_block, sym_form.minus_block), gathered, label)
-        anti_form = antisym_block_form(negated, c)
-        gathered = _gather_by_permutation(negated, anti_form.permutation)
-        out = check("antisym_part_block_similarity")
-        out.record(anti_form.conjugated, gathered, label)
-        out.record(assemble_antidiag(anti_form.upper_block, anti_form.lower_block), gathered, label)
+        built = []
+        for name, part, sign, build, note in (
+            ("sym_part", fixed, 1, sym_block_form, ""),
+            ("antisym_part", negated, -1, antisym_block_form, ANTIDIAG_SIGN_NOTE),
+        ):
+            out = check(f"{name}_block_similarity")
+            try:
+                form = build(part, c)
+            except (NotSignSymmetricError, NotSignAntisymmetricError):
+                # the split itself is wrong at c: record what the form rejected
+                out.record(sign_conjugate(part, c), part * sign, label)
+                continue
+            _record_block_form(out, part, form, label)
+            built.append((name, part, form, note))
         if do_permpoly:
-            rep = factor_invariants_sym(fixed, sym_form)
-            check("sym_part_factorizations").record(
-                (rep.char_full, rep.det_full, rep.perm_full),
-                (rep.char_product, rep.det_product, rep.perm_product),
-                label,
-            )
-            arep = factor_invariants_antisym(negated, anti_form)
-            out = check("antisym_part_factorizations", note=ANTIDIAG_SIGN_NOTE)
-            if arep.det_blocks_signed is None:
-                out.record((arep.det_full, arep.perm_full), (Fraction(0), Fraction(0)), label)
-            else:
-                out.record(
-                    (arep.det_full, arep.perm_full),
-                    (arep.det_blocks_signed, arep.perm_blocks),
-                    label,
-                )
+            for name, part, form, note in built:
+                check(f"{name}_factorizations", note=note).record(*_factor_sides(part, form), label)
 
     if n >= 2:
         classic = classic_split(a)

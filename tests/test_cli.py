@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signconj import InternalConsistencyError, Matrix, blockform, cli, core, decomposition, orbit
+from signconj import (
+    InternalConsistencyError,
+    Matrix,
+    blockform,
+    cli,
+    core,
+    decomposition,
+    orbit,
+    verification,
+)
 from signconj.cli import load_matrix, main, parse_matrix_document
 from oracles import orbit_by_matrices
 
@@ -457,6 +466,27 @@ class TestVerify:
         assert code == 1
         failed = failed_checks(out)["antisym_part_factorizations"]
         assert (failed["lhs"], failed["rhs"]) == ("(1, 0)", "(0, 0)")
+
+    @pytest.mark.parametrize("part, product", [("sym_part", -1), ("antisym_part", 1)])
+    def test_fault_in_own_split_exits_1(self, capsys, monkeypatch, part, product):
+        # the part keeps one nonzero entry of A where c_i*c_j = product, an
+        # entry its mask should zero, so its block form cannot be built
+        real = getattr(verification, part)
+
+        def leaky(a, c):
+            m = real(a, c)
+            ids = range(a.rows)
+            kept = next(
+                ((i, j) for i in ids for j in ids if c[i] * c[j] == product and a[i, j]), None
+            )
+            return Matrix([[a[i, j] if (i, j) == kept else m[i, j] for j in ids] for i in ids])
+
+        monkeypatch.setattr(verification, part, leaky)
+        code, out, err = run_cli(capsys, "verify", "--matrix", str(FIXTURES / "verify6.json"))
+        assert (code, err) == (1, "")
+        failed = failed_checks(out)
+        assert "split_parts_fixed_and_negated" in failed
+        assert "failed at c=" in failed[f"{part}_block_similarity"]["note"]
 
     def test_wrong_enumerated_conjugate_exits_1(self, capsys, monkeypatch):
         # the count is unchanged, so only the conjugate comparison can fail

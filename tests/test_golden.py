@@ -17,6 +17,7 @@ from signconj.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
 SIGNS12 = "1,-1,1,1,-1,-1,1,-1,1,-1,-1,1"
+SIGNS21 = "1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1"
 
 CASES = {
     "verify_verify6": (0, ["verify", "--matrix", FIXTURES / "verify6.json"]),
@@ -29,6 +30,13 @@ CASES = {
         0,
         ["blockform", "--matrix", GOLDEN / "antisym4.json", "--signs", "1,-1,-1,1"],
     ),
+    # negated with sign classes of sizes 2 and 1: det = perm = 0, and no note
+    "blockform_unbalanced3": (
+        0,
+        ["blockform", "--matrix", GOLDEN / "unbalanced3.json", "--signs", "1,1,-1"],
+    ),
+    # fixed at n = 21, above the permanent cap: the factor checks are omitted
+    "blockform_sym21": (0, ["blockform", "--matrix", GOLDEN / "sym21.json", "--signs", SIGNS21]),
     "invariants_int20": (0, ["invariants", "--matrix", GOLDEN / "int20.json"]),
     # no 2^n step: the principal-sum cross-checks cost n+1 determinants
     "verify_int20_sampled": (
@@ -65,8 +73,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_report_matches_golden(capsys, name):
+def assert_matches_golden(capsys, name):
     expected_code, argv = CASES[name]
     code = main([str(arg) for arg in argv])
     out = capsys.readouterr().out
@@ -76,3 +83,17 @@ def test_report_matches_golden(capsys, name):
     assert out.count(path_line) == 1
     fixed = out.replace(path_line, f'"path": {json.dumps(argv[2].name)},')
     assert fixed == (GOLDEN / f"{name}.out.json").read_text()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_matches_golden(capsys, name):
+    assert_matches_golden(capsys, name)
+
+
+def test_report_after_usage_error_matches_golden(capsys):
+    # one parser serves every call in a process; a usage error leaves it as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--matrix"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert_matches_golden(capsys, "verify_verify6")
