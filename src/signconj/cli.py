@@ -134,48 +134,64 @@ def _check_json(c: CheckOutcome) -> dict:
     return out
 
 
-def _render(value, indent: str, rows: dict) -> str:
-    """The text of json.dumps(value, indent=2), built by nested joins: the
-    standard encoder drops to pure Python when given an indent.  A Matrix
-    renders as its text_rows() would; `rows` keeps every matrix row
-    rendered so far in the report (see _render_matrix)."""
+def _write(value, indent: str, out: list[str], rows: dict) -> None:
+    """Append the text of json.dumps(value, indent=2) to `out`, piece by
+    piece, for one join at the end: the standard encoder drops to pure
+    Python when given an indent, and joining at every nesting level would
+    copy the text of a deep value once per level.  A Matrix renders as its
+    text_rows() would; `rows` keeps every matrix row rendered so far in the
+    report (see _write_matrix)."""
     if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, Matrix):
-        return _render_matrix(value, indent, rows)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+        out.append(_quote(value))
+    elif isinstance(value, Matrix):
+        _write_matrix(value, indent, out, rows)
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
         try:  # a list of strings, such as a polynomial's coefficients, in one join
-            body = sep.join(map(_quote, value))
+            out.append(f"[\n{inner}" + sep.join(map(_quote, value)) + f"\n{indent}]")
         except TypeError:
-            body = sep.join([_render(v, inner, rows) for v in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
+            lead = "[\n" + inner
+            for v in value:
+                out.append(lead)
+                lead = sep
+                _write(v, inner, out, rows)
+            out.append(f"\n{indent}]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        body = sep.join([f"{_quote(k)}: {_render(v, inner, rows)}" for k, v in value.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"cannot render {type(value).__name__} in a report")
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        lead = "{\n" + inner
+        for k, v in value.items():
+            out.append(f"{lead}{_quote(k)}: ")
+            lead = sep
+            _write(v, inner, out, rows)
+        out.append(f"\n{indent}}}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-def _render_matrix(m: Matrix, indent: str, rows: dict) -> str:
-    """The text of m.text_rows() at this indent.  A row's text depends only
-    on the indent, m.den and its int entries, so `rows` maps those to the
-    rendered row and each distinct row goes through text_rows once per
-    report: the conjugates of one matrix share most of their rows."""
+def _write_matrix(m: Matrix, indent: str, out: list[str], rows: dict) -> None:
+    """Append the text of m.text_rows() at this indent.  A row's text
+    depends only on the indent, m.den and its int entries, so `rows` maps
+    those to the rendered row and each distinct row goes through text_rows
+    once per report: the conjugates of one matrix share most of their rows."""
     if not m.rows:
-        return "[]"
+        out.append("[]")
+        return
     inner = indent + "  "
     known = rows.setdefault((indent, m.den), {})
     parts = list(map(known.get, m.nums))
@@ -186,12 +202,19 @@ def _render_matrix(m: Matrix, indent: str, rows: dict) -> str:
             if parts[i] is None:
                 body = sep.join(map(_quote, texts[i]))
                 parts[i] = known[row] = f"[\n  {inner}{body}\n{inner}]" if row else "[]"
-    body = (",\n" + inner).join(parts)
-    return f"[\n{inner}{body}\n{indent}]"
+    out.append(f"[\n{inner}")
+    out.append(f",\n{inner}".join(parts))
+    out.append(f"\n{indent}]")
 
 
 def _emit(report: dict, failed: bool) -> int:
-    print(_render(report, "", {}))
+    """Print the report and its newline in one write, after rendering it
+    whole, so a report that cannot be rendered prints nothing.  One write
+    also lets an in-memory stdout keep the text without copying it."""
+    out: list[str] = []
+    _write(report, "", out, {})
+    out.append("\n")
+    sys.stdout.write("".join(out))
     return 1 if failed else 0
 
 
@@ -334,17 +357,16 @@ def _cmd_blockform(args) -> int:
 
 def _cmd_orbit(args) -> int:
     a = load_matrix(args.matrix, args.format)
-    labeling = orbit.graph_components(a)
     rep = orbit.orbit_size(a, cap=args.orbit_cap)
     results: dict = {
-        "component_labels": list(labeling.labels),
-        "component_count": labeling.count,
+        "component_labels": list(rep.labels),
+        "component_count": rep.component_count,
         "orbit_size": rep.orbit_size,
         "stabilizer_size": rep.stabilizer_size,
     }
     if rep.enumerated is not None:
         results["enumerated_orbit"] = rep.enumerated
-        results["stabilizer"] = [str(c) for c in orbit.stabilizer_elements(a, cap=args.orbit_cap)]
+        results["stabilizer"] = [str(c) for c in rep.stabilizer]
     else:
         results["enumeration"] = f"skipped: n={a.rows} exceeds --orbit-cap {args.orbit_cap}"
     report = {"command": "orbit", "inputs": _inputs_block(args, a), "results": results}

@@ -26,9 +26,9 @@ A matrix needs n >= 1, as a sign vector does.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 
 from .core import Matrix, SignVector, _sign_vectors, sign_conjugate
@@ -48,10 +48,17 @@ class ComponentLabeling:
 
 @dataclass(frozen=True)
 class OrbitReport:
+    """The census of one matrix.  `labels` are its component labels (see
+    ComponentLabeling); `enumerated` and `stabilizer` list the distinct
+    conjugates and the fixing vectors, in the orders of `_enumerate_distinct`
+    and `stabilizer_elements`, or are None above the enumeration cap."""
+
     component_count: int
     orbit_size: int
     stabilizer_size: int
     enumerated: tuple[Matrix, ...] | None
+    labels: tuple[int, ...]
+    stabilizer: tuple[SignVector, ...] | None
 
 
 def graph_components(a: Matrix) -> ComponentLabeling:
@@ -79,52 +86,51 @@ def graph_components(a: Matrix) -> ComponentLabeling:
     return ComponentLabeling(tuple(labels), count)
 
 
-def _components(a: Matrix) -> list[list[int]]:
+def _members(labeling: ComponentLabeling) -> list[list[int]]:
     """The vertices of each component, components in id order."""
-    labeling = graph_components(a)
     members: list[list[int]] = [[] for _ in range(labeling.count)]
     for v, cid in enumerate(labeling.labels):
         members[cid - 1].append(v)
     return members
 
 
-def _coset_representatives(
-    a: Matrix, components: list[list[int]] | None = None
-) -> Iterator[SignVector]:
-    """The 2^(n-t) vectors that are +1 at the first vertex of every
-    component, in lexicographic order; each is the first member of its
-    coset of the stabilizer.  `components` is `_components(a)` when the
-    caller has it already."""
-    if components is None:
-        components = _components(a)
-    free = sorted(v for members in components for v in members[1:])
-    return _sign_vectors(a.rows, [[v] for v in free])
+def _sign_key(places: list[int]) -> Callable:
+    """Picks the signs at `places` from a sign tuple: a tuple of them, a
+    bare sign for one place, or () when there are none."""
+    return itemgetter(*places) if places else lambda signs: ()
 
 
-def _component_rows(a: Matrix, members: list[int]) -> tuple[Callable, dict]:
+def _component_rows(a: Matrix, members: list[int]) -> dict:
     """The rows of one component's vertices in every conjugate.
 
-    Returns (pick, rows): pick takes a length-n sign tuple to its key, the
-    signs on the members, and rows maps the key of each of the
-    component's 2^(|K|-1) patterns (+1 at its first member, +1 off the
-    component) to the members' rows of that pattern's conjugate, in
-    vertex order.  Row i of phi_c(A) is zero off i's component, so it
-    depends on c only through the signs on the members."""
-    pick = itemgetter(*members)
+    Maps the signs on the component's free vertices, the members after its
+    first, picked by `_sign_key`, for each of its 2^(|K|-1) patterns (+1 at
+    its first member, +1 off the component) to the members' rows of that
+    pattern's conjugate, in vertex order.  Row i of phi_c(A) is zero off
+    i's component, so it depends on c only through the signs on the
+    members."""
+    key = _sign_key(members[1:])
     rows = {}
     for c in _sign_vectors(a.rows, [[v] for v in members[1:]]):
         nums = sign_conjugate(a, c).nums
-        rows[pick(c.signs)] = tuple(nums[i] for i in members)
-    return pick, rows
+        rows[key(c.signs)] = tuple(nums[i] for i in members)
+    return rows
 
 
-def _enumerate_distinct(a: Matrix) -> tuple[Matrix, ...]:
+def _enumerate_distinct(a: Matrix, components: list[list[int]]) -> tuple[Matrix, ...]:
     """Distinct conjugates in first-occurrence order over the lexicographic
     vector order, one per coset representative, each assembled from its
-    components' shared rows.  A conjugate only negates entries, so it
-    keeps A's den."""
-    components = _components(a)
-    parts = [_component_rows(a, members) for members in components]
+    components' shared rows.  `components` is `_members` of A's labeling.
+    The representatives' signs on the free vertices, in vertex order, run
+    through product((1, -1), ...) in that order, and each component keys
+    its rows by its own free vertices' signs in that tuple.  A conjugate
+    only negates entries, so it keeps A's den."""
+    free = sorted(v for members in components for v in members[1:])
+    slot = {v: k for k, v in enumerate(free)}
+    parts = [
+        (_sign_key([slot[v] for v in members[1:]]), _component_rows(a, members))
+        for members in components
+    ]
     # vertex v's row sits at place[v] of the rows listed component by component
     place = [0] * a.rows
     for k, v in enumerate(chain.from_iterable(components)):
@@ -133,11 +139,10 @@ def _enumerate_distinct(a: Matrix) -> tuple[Matrix, ...]:
     # other order moves two places or more, so itemgetter returns a tuple
     gather = tuple if place == sorted(place) else itemgetter(*place)
     conjugates = []
-    for c in _coset_representatives(a, components):
-        signs = c.signs
+    for choice in product((1, -1), repeat=len(free)):
         listed: list[tuple[int, ...]] = []
-        for pick, rows in parts:
-            listed += rows[pick(signs)]
+        for key, rows in parts:
+            listed += rows[key(choice)]
         conjugates.append(Matrix._trusted(gather(listed), a.cols, a.den))
     return tuple(conjugates)
 
@@ -149,13 +154,18 @@ def _require_vertices(a: Matrix, operation: str) -> None:
 
 
 def orbit_size(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitReport:
-    """Orbit and stabilizer sizes from the component count; for n within
-    `cap` the orbit is also enumerated."""
+    """The census from one component search: orbit and stabilizer sizes
+    from the component count and, for n within `cap`, both listed."""
     _require_vertices(a, "orbit census")
     n = a.rows
-    t = graph_components(a).count
-    enumerated = _enumerate_distinct(a) if n <= cap else None
-    return OrbitReport(t, 1 << (n - t), 1 << (t - 1), enumerated)
+    labeling = graph_components(a)
+    t = labeling.count
+    enumerated = stabilizer = None
+    if n <= cap:
+        components = _members(labeling)
+        enumerated = _enumerate_distinct(a, components)
+        stabilizer = tuple(_sign_vectors(n, components[1:]))
+    return OrbitReport(t, 1 << (n - t), 1 << (t - 1), enumerated, labeling.labels, stabilizer)
 
 
 def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[SignVector, ...]:
@@ -171,4 +181,4 @@ def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tup
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"stabilizer enumeration for n={n} exceeds cap {cap}")
-    return tuple(_sign_vectors(n, _components(a)[1:]))
+    return tuple(_sign_vectors(n, _members(graph_components(a))[1:]))

@@ -327,6 +327,15 @@ def stabilizer_by_matrices(a: Matrix) -> set[SignVector]:
     return {c for c in admissible_sign_vectors(a.rows) if sign_conjugate(a, c) == a}
 
 
+def coset_representatives(a: Matrix) -> list[SignVector]:
+    """The 2^(n-t) admissible vectors that are +1 at the first vertex of
+    every component, in lexicographic order: the first member of each coset
+    of the stabilizer, picked from all 2^(n-1) vectors."""
+    labels, _ = components_by_reachability(a)
+    firsts = {labels.index(cid) for cid in set(labels)}
+    return [c for c in admissible_sign_vectors(a.rows) if all(c.signs[v] == 1 for v in firsts)]
+
+
 def components_by_reachability(a: Matrix) -> tuple[tuple[int, ...], int]:
     """(labels, count) of the connected components of the symmetric
     nonzero pattern (i != j), from the boolean transitive closure of the

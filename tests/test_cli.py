@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -492,8 +493,8 @@ class TestVerify:
         # the count is unchanged, so only the conjugate comparison can fail
         real = orbit._enumerate_distinct
 
-        def negate_last(a):
-            found = real(a)
+        def negate_last(a, components):
+            found = real(a, components)
             return found[:-1] + (-found[-1],)
 
         monkeypatch.setattr(orbit, "_enumerate_distinct", negate_last)
@@ -508,11 +509,11 @@ class TestVerify:
         seen = []
 
         def stale_second(a, members):
-            pick, rows = real(a, members)
+            rows = real(a, members)
             seen.append(members)
             if len(seen) == 2:
                 rows = dict.fromkeys(rows, next(iter(rows.values())))
-            return pick, rows
+            return rows
 
         monkeypatch.setattr(orbit, "_component_rows", stale_second)
         text = "1,0,-3,0,0,0\n0,0,0,2,0,-1\n0,0,7,0,4,0\n0,0,0,0,0,0\n5,0,0,0,0,0\n0,-9,0,1,0,2\n"
@@ -592,6 +593,17 @@ class TestReportRenderer:
             "e": [Matrix([], cols=0), Matrix([[], []], cols=0), Matrix([], cols=2)],
         }
         assert emitted(report) == json.dumps(with_text_rows(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "leaf, name", [(Fraction(1, 3), "Fraction"), (0.5, "float"), ({1}, "set")]
+    )
+    def test_unrenderable_leaf_raises_before_writing(self, capsys, leaf, name):
+        # the leaf comes after a matrix and text, so a writer that printed
+        # as it went would have written part of the report
+        report = {"m": Matrix([[1, 2], [3, 4]]), "text": "x", "deep": [[1, "y"], {"leaf": leaf}]}
+        with pytest.raises(TypeError, match=f"cannot render {name} in a report"):
+            cli._emit(report, failed=False)
+        assert capsys.readouterr().out == ""
 
     def test_quoted_non_ascii_path_round_trips(self, capsys, tmp_path):
         path = write_matrix(tmp_path, 'm"\u00e9.csv', "0,1\n1,0\n")

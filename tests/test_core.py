@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -436,8 +437,20 @@ class TestReducedConstruction:
                            min_size=n, max_size=n)
     ))
     def test_census_sign_vectors(self, rows):
+        # the census builds a vector for each component's sign patterns and
+        # for each stabilizer element, and none for the conjugates it lists
         a = Matrix(rows)
-        vectors = list(orbit._coset_representatives(a)) + list(orbit.stabilizer_elements(a))
+        patterns = []
+
+        def recording(m, c):
+            patterns.append(c)
+            return sign_conjugate(m, c)
+
+        with mock.patch.object(orbit, "sign_conjugate", recording):
+            report = orbit.orbit_size(a)
+        components = orbit._members(orbit.graph_components(a))
+        assert len(patterns) == sum(2 ** (len(members) - 1) for members in components)
+        vectors = patterns + list(report.stabilizer) + list(orbit.stabilizer_elements(a))
         for v in vectors:
             assert type(v.signs) is tuple
             assert all(type(s) is int for s in v.signs)

@@ -25,9 +25,9 @@ from signconj import (
     stabilizer_elements,
     trace,
 )
-from signconj.orbit import _coset_representatives
 from oracles import (
     components_by_reachability,
+    coset_representatives,
     orbit_by_matrices,
     random_sparse_matrix,
     stabilizer_by_matrices,
@@ -126,8 +126,9 @@ class TestOrbitSize:
 
     def test_enumeration_skipped_above_cap(self):
         report = orbit_size(Matrix.zero(5), cap=4)
-        assert report.enumerated is None
+        assert report.enumerated is None and report.stabilizer is None
         assert report.orbit_size == 1
+        assert report.labels == (1, 2, 3, 4, 5)
 
     def test_orbit_members_share_invariants(self):
         rng = random.Random(33)
@@ -197,8 +198,16 @@ class TestCosetRepresentatives:
             n = rng.randint(1, 8)
             a = random_sparse_matrix(rng, n, density=rng.choice((0.0, 0.15, 0.4, 0.9)))
             stabilizer = stabilizer_elements(a)
-            products = Counter(compose(c, s) for c in _coset_representatives(a) for s in stabilizer)
+            products = Counter(compose(c, s) for c in coset_representatives(a) for s in stabilizer)
             assert products == Counter(admissible_sign_vectors(n))
+
+    def test_census_lists_the_representatives_conjugates_in_order(self):
+        rng = random.Random(39)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            a = random_sparse_matrix(rng, n, density=rng.choice((0.0, 0.15, 0.4, 0.9)))
+            expected = tuple(sign_conjugate(a, c) for c in coset_representatives(a))
+            assert orbit_size(a).enumerated == expected
 
 
 class TestAgainstMatrixHashing:
@@ -212,9 +221,11 @@ class TestAgainstMatrixHashing:
     ]
 
     def assert_agrees(self, a):
-        assert orbit_size(a).enumerated == orbit_by_matrices(a)
+        report = orbit_size(a)
+        assert report.enumerated == orbit_by_matrices(a)
+        assert report.labels == components_by_reachability(a)[0]
         expected = sorted(stabilizer_by_matrices(a), key=lambda c: c.signs, reverse=True)
-        assert stabilizer_elements(a) == tuple(expected)
+        assert stabilizer_elements(a) == report.stabilizer == tuple(expected)
 
     def test_seeded_sparse(self):
         rng = random.Random(37)
