@@ -12,16 +12,12 @@ census of distinct conjugates via graph connectivity.
 
 from .blockform import (
     AntisymBlockForm,
-    AntisymFactorReport,
     IndexPartition,
     SymBlockForm,
-    SymFactorReport,
     antisym_block_form,
     assemble_antidiag,
     assemble_diag,
     block_permutation,
-    factor_invariants_antisym,
-    factor_invariants_sym,
     index_partition,
     sym_block_form,
 )
@@ -41,14 +37,10 @@ from .decomposition import (
     DecompositionPair,
     Symmetry,
     antisym_part,
-    classic_minor2_additivity,
-    classic_permanent2_additivity,
     classic_split,
     classify,
-    minor2_additivity,
     order2_minor_sum,
     order2_permanent_sum,
-    permanent2_additivity,
     split,
     subspace_dims,
     sym_part,
@@ -63,7 +55,6 @@ from .errors import (
     NotSignAntisymmetricError,
     NotSignSymmetricError,
     NotSquareError,
-    OrderOutOfRangeError,
     RangeError,
     SignConjError,
     SizeCapExceededError,
@@ -98,7 +89,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntisymBlockForm",
-    "AntisymFactorReport",
     "CayleyTable",
     "CheckOutcome",
     "ComponentLabeling",
@@ -115,7 +105,6 @@ __all__ = [
     "NotSignSymmetricError",
     "NotSquareError",
     "OrbitReport",
-    "OrderOutOfRangeError",
     "Permutation",
     "Polynomial",
     "RangeError",
@@ -124,7 +113,6 @@ __all__ = [
     "SignVector",
     "SizeCapExceededError",
     "SymBlockForm",
-    "SymFactorReport",
     "Symmetry",
     "VerificationReport",
     "admissible_sign_vectors",
@@ -136,27 +124,21 @@ __all__ = [
     "block_permutation",
     "cayley_table",
     "char_poly",
-    "classic_minor2_additivity",
-    "classic_permanent2_additivity",
     "classic_split",
     "classify",
     "compose",
     "conjugate_by_signature",
     "determinant",
-    "factor_invariants_antisym",
-    "factor_invariants_sym",
     "from_bits",
     "graph_components",
     "identity_element",
     "index_partition",
-    "minor2_additivity",
     "orbit_size",
     "order2_minor_sum",
     "order2_permanent_sum",
     "parse_sign_vector",
     "perm_poly",
     "permanent",
-    "permanent2_additivity",
     "rank",
     "sign_conjugate",
     "signature_matrix",

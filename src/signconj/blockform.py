@@ -4,17 +4,17 @@ A matrix fixed by a sign conjugation is permutation similar to a
 block-diagonal matrix with one block per sign class; a matrix negated by
 it is permutation similar to a block anti-diagonal matrix.  Both use the
 same permutation: list the +1 positions in order, then the -1 positions.
+The invariants that factor through the blocks are compared by the
+checks that report them (`verification._factor_sides`), not here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Matrix, Permutation, SignVector, sign_conjugate
 from .errors import DimensionMismatchError, NotSignAntisymmetricError, NotSignSymmetricError
-from .invariants import Polynomial, char_poly, determinant, permanent
 
 
 @dataclass(frozen=True)
@@ -45,38 +45,6 @@ class AntisymBlockForm:
     upper_block: Matrix  # +1 rows x -1 columns
     lower_block: Matrix  # -1 rows x +1 columns
     conjugated: Matrix  # P^-1 * A * P, equal to assemble_antidiag(upper_block, lower_block)
-
-
-@dataclass(frozen=True)
-class SymFactorReport:
-    """Both sides of each factorization identity for a fixed matrix."""
-
-    char_full: Polynomial
-    char_product: Polynomial
-    det_full: Fraction
-    det_product: Fraction
-    perm_full: Fraction
-    perm_product: Fraction
-
-
-@dataclass(frozen=True)
-class AntisymFactorReport:
-    """Invariants of a negated matrix and, when the sign classes balance,
-    the signed block products they factor into.
-
-    The determinant factors with sign (-1)^(n/2): the block anti-diagonal
-    form needs (n/2)^2 column transpositions to become block diagonal, and
-    (-1)^((n/2)^2) = (-1)^(n/2).  The superficially plausible sign (-1)^n
-    is wrong whenever n = 2 (mod 4); tests pin this down at n=2.
-    """
-
-    plus_count: int
-    minus_count: int
-    det_full: Fraction
-    perm_full: Fraction
-    det_blocks_signed: Fraction | None  # (-1)^(n/2) * det(upper) * det(lower)
-    perm_blocks: Fraction | None  # perm(upper) * perm(lower)
-    sign_exponent: int | None  # n // 2 when balanced
 
 
 def index_partition(c: SignVector) -> IndexPartition:
@@ -157,34 +125,3 @@ def antisym_block_form(a: Matrix, c: SignVector) -> AntisymBlockForm:
     upper = _pick(a, part.plus_indices, part.minus_indices)
     lower = _pick(a, part.minus_indices, part.plus_indices)
     return AntisymBlockForm(part, perm, upper, lower, conjugated)
-
-
-def factor_invariants_sym(a: Matrix, form: SymBlockForm) -> SymFactorReport:
-    """Characteristic polynomial, determinant, and permanent of a fixed
-    matrix next to the products over the two diagonal blocks of its block
-    form, `sym_block_form(a, c)`."""
-    d, e = form.plus_block, form.minus_block
-    return SymFactorReport(
-        char_full=char_poly(a),
-        char_product=char_poly(d) * char_poly(e),
-        det_full=determinant(a),
-        det_product=determinant(d) * determinant(e),
-        perm_full=permanent(a),
-        perm_product=permanent(d) * permanent(e),
-    )
-
-
-def factor_invariants_antisym(a: Matrix, form: AntisymBlockForm) -> AntisymFactorReport:
-    """Determinant and permanent of a negated matrix; both vanish unless
-    the sign classes have equal size, in which case they factor through
-    the two anti-diagonal blocks of its block form, `antisym_block_form(a, c)`."""
-    r = form.partition.plus_count
-    s = len(form.partition.minus_indices)
-    det_full = determinant(a)
-    perm_full = permanent(a)
-    if r != s:
-        return AntisymFactorReport(r, s, det_full, perm_full, None, None, None)
-    sign = -1 if r % 2 else 1
-    det_blocks = sign * determinant(form.upper_block) * determinant(form.lower_block)
-    perm_blocks = permanent(form.upper_block) * permanent(form.lower_block)
-    return AntisymFactorReport(r, s, det_full, perm_full, det_blocks, perm_blocks, r)

@@ -10,13 +10,12 @@ O(n^2) at any n.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .core import Matrix, SignVector, _check_conformable, sign_conjugate
-from .errors import OrderOutOfRangeError, RangeError
+from .errors import RangeError
 
 HALF = Fraction(1, 2)
 
@@ -117,32 +116,3 @@ def order2_permanent_sum(m: Matrix) -> Fraction:
     """Sum of the order-2 principal permanents, sum_{i<j} m_ii*m_jj + m_ij*m_ji,
     in O(n^2); 0 when n < 2."""
     return _order2_sum(m, 1)
-
-
-def _order2_triple(
-    a: Matrix, pair: DecompositionPair, order2_sum: Callable[[Matrix], Fraction]
-) -> tuple[Fraction, Fraction, Fraction]:
-    if a.rows < 2:
-        raise OrderOutOfRangeError("order-2 additivity needs n >= 2")
-    return order2_sum(a), order2_sum(pair.sym), order2_sum(pair.antisym)
-
-
-def minor2_additivity(a: Matrix, c: SignVector) -> tuple[Fraction, Fraction, Fraction]:
-    """(sum of order-2 minors of A, of the fixed part, of the negated part);
-    the first equals the sum of the other two."""
-    return _order2_triple(a, split(a, c), order2_minor_sum)
-
-
-def permanent2_additivity(a: Matrix, c: SignVector) -> tuple[Fraction, Fraction, Fraction]:
-    """Order-2 principal permanent sums across the sign split."""
-    return _order2_triple(a, split(a, c), order2_permanent_sum)
-
-
-def classic_minor2_additivity(a: Matrix) -> tuple[Fraction, Fraction, Fraction]:
-    """Order-2 principal minor sums across the transpose split."""
-    return _order2_triple(a, classic_split(a), order2_minor_sum)
-
-
-def classic_permanent2_additivity(a: Matrix) -> tuple[Fraction, Fraction, Fraction]:
-    """Order-2 principal permanent sums across the transpose split."""
-    return _order2_triple(a, classic_split(a), order2_permanent_sum)

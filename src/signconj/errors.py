@@ -29,10 +29,6 @@ class SizeCapExceededError(SignConjError, ValueError):
     """Input exceeds the configured size cap for an exponential-cost operation."""
 
 
-class OrderOutOfRangeError(SignConjError, ValueError):
-    """A minor/permanent order k is outside 0..n."""
-
-
 class RangeError(SignConjError, ValueError):
     """A numeric argument is outside its documented range."""
 

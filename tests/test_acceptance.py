@@ -23,22 +23,18 @@ from signconj import (
     block_permutation,
     cayley_table,
     char_poly,
-    classic_minor2_additivity,
-    classic_permanent2_additivity,
     classify,
     compose,
     conjugate_by_signature,
     determinant,
-    factor_invariants_antisym,
-    factor_invariants_sym,
     graph_components,
     identity_element,
-    minor2_additivity,
+    order2_minor_sum,
+    order2_permanent_sum,
     orbit_size,
     parse_sign_vector,
     perm_poly,
     permanent,
-    permanent2_additivity,
     rank,
     sign_conjugate,
     signature_matrix,
@@ -52,6 +48,7 @@ from signconj import (
 )
 from signconj.cli import main as cli_main
 from signconj.decomposition import Symmetry
+from signconj.verification import _factor_sides
 from oracles import (
     cofactor_determinant,
     conjugate_by_permutation_matrix,
@@ -259,18 +256,12 @@ def test_criterion_07_minor_additivity():
         n = a.rows
         if n < 2:
             continue
-        for tag, triple in (
-            ("sign minors", minor2_additivity(a, c)),
-            ("sign permanents", permanent2_additivity(a, c)),
-            ("classic minors", classic_minor2_additivity(a)),
-            ("classic permanents", classic_permanent2_additivity(a)),
-        ):
-            lhs, rhs_sym, rhs_anti = triple
-            if lhs != rhs_sym + rhs_anti:
-                failures.append((tag, a, c))
         from signconj import classic_split
 
-        for parts in (split(a, c), classic_split(a)):
+        for split_tag, parts in (("sign", split(a, c)), ("classic", classic_split(a))):
+            for tag, summer in (("minors", order2_minor_sum), ("permanents", order2_permanent_sum)):
+                if summer(a) != summer(parts.sym) + summer(parts.antisym):
+                    failures.append((f"{split_tag} {tag}", a, c))
             if char_poly(a).coefficient(n - 2) != (
                 char_poly(parts.sym).coefficient(n - 2)
                 + char_poly(parts.antisym).coefficient(n - 2)
@@ -297,10 +288,10 @@ def test_criterion_08_block_forms():
                 failures.append(("sym similarity", n, c))
             if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
                 failures.append(("sym permutation-matrix similarity", n, c))
-            rep = factor_invariants_sym(a, form)
-            if rep.char_full != rep.char_product:
+            (char_full, *det_perm_full), (char_product, *det_perm_product) = _factor_sides(a, form)
+            if char_full != char_product:
                 failures.append(("char factorization", n, c))
-            if rep.det_full != rep.det_product or rep.perm_full != rep.perm_product:
+            if det_perm_full != det_perm_product:
                 failures.append(("det/perm factorization", n, c))
         for _ in range(100):
             c = random_sign_vector(rng, n)
@@ -310,14 +301,14 @@ def test_criterion_08_block_forms():
                 failures.append(("antisym similarity", n, c))
             if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
                 failures.append(("antisym permutation-matrix similarity", n, c))
-            rep = factor_invariants_antisym(a, form)
-            if rep.det_blocks_signed is None:
-                if rep.det_full != 0 or rep.perm_full != 0:
+            (det_full, perm_full), (det_blocks, perm_blocks) = _factor_sides(a, form)
+            if 2 * form.partition.plus_count != n:
+                if (det_full, perm_full, det_blocks, perm_blocks) != (0, 0, 0, 0):
                     failures.append(("unbalanced nonzero", n, c))
             else:
-                if rep.det_full != rep.det_blocks_signed:
+                if det_full != det_blocks:
                     failures.append(("det sign", n, c))
-                if rep.perm_full != rep.perm_blocks:
+                if perm_full != perm_blocks:
                     failures.append(("perm product", n, c))
     # balanced classes at n in {2, 4, 6}: determinant sign is (-1)^(n/2),
     # cross-checked against elimination on the full matrix
@@ -327,10 +318,10 @@ def test_criterion_08_block_forms():
             rng.shuffle(tail)
             c = SignVector([1] + tail)
             a = antisym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_antisym(a, antisym_block_form(a, c))
+            _, (det_blocks, _) = _factor_sides(a, antisym_block_form(a, c))
             f_det = determinant(rep_block(a, c, upper=True))
             g_det = determinant(rep_block(a, c, upper=False))
-            if determinant(a) != (-1) ** (n // 2) * f_det * g_det:
+            if not determinant(a) == det_blocks == (-1) ** (n // 2) * f_det * g_det:
                 failures.append(("explicit sign check", n, c))
     # erratum witness: the sign (-1)^n fails at n=2
     witness = Matrix([[0, 2], [3, 0]])

@@ -1,6 +1,7 @@
 """Block canonical forms and their invariant factorizations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,20 +18,22 @@ from signconj import (
     block_permutation,
     char_poly,
     determinant,
-    factor_invariants_antisym,
-    factor_invariants_sym,
     index_partition,
     parse_sign_vector,
     permanent,
     sym_block_form,
     sym_part,
 )
+from signconj.cli import load_matrix
+from signconj.verification import _factor_sides
 from oracles import (
     conjugate_by_permutation_matrix,
     permutation_matrix,
     random_matrix,
     random_sign_vector,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestIndexPartition:
@@ -172,25 +175,24 @@ class TestAgainstPermutationMatrix:
 
 
 class TestSymFactorizations:
+    """`_factor_sides` on a fixed form: (char, det, perm) of A against the
+    products over the diagonal blocks."""
+
     def test_hand_value(self):
         a = Matrix([[1, 0, 5], [0, 2, 0], [7, 0, 3]])
-        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,-1,1")))
-        assert rep.det_full == rep.det_product == -64
-        assert rep.char_full == rep.char_product
-        assert rep.perm_full == rep.perm_product
+        full, product = _factor_sides(a, sym_block_form(a, parse_sign_vector("1,-1,1")))
+        assert full == product
+        assert full[1] == -64
 
     def test_block_numbers(self):
         a = Matrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
-        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,1,-1")))
-        assert rep.det_full == -10
-        assert rep.perm_full == 50
+        full, product = _factor_sides(a, sym_block_form(a, parse_sign_vector("1,1,-1")))
+        assert full[1:] == product[1:] == (-10, 50)
 
     def test_empty_minus_block_factors_trivially(self):
         a = Matrix([[1, 2], [3, 4]])
-        rep = factor_invariants_sym(a, sym_block_form(a, parse_sign_vector("1,1")))
-        assert rep.char_product == char_poly(a)
-        assert rep.det_product == determinant(a)
-        assert rep.perm_product == permanent(a)
+        _, product = _factor_sides(a, sym_block_form(a, parse_sign_vector("1,1")))
+        assert product == (char_poly(a), determinant(a), permanent(a))
 
     def test_random(self):
         rng = random.Random(23)
@@ -198,41 +200,39 @@ class TestSymFactorizations:
             n = rng.randint(1, 7)
             c = random_sign_vector(rng, n)
             a = sym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_sym(a, sym_block_form(a, c))
-            assert rep.char_full == rep.char_product
-            assert rep.det_full == rep.det_product
-            assert rep.perm_full == rep.perm_product
+            full, product = _factor_sides(a, sym_block_form(a, c))
+            assert full == product
 
 
 class TestAntisymFactorizations:
+    """`_factor_sides` on a negated form: (det, perm) of A against the
+    signed block products, or against (0, 0) when unbalanced."""
+
     def test_balanced_two_by_two(self):
         a = Matrix([[0, 2], [3, 0]])
-        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1")))
-        assert rep.det_full == -6
-        assert rep.det_blocks_signed == -6
-        assert rep.perm_full == rep.perm_blocks == 6
-        assert rep.sign_exponent == 1
+        full, blocks = _factor_sides(a, antisym_block_form(a, parse_sign_vector("1,-1")))
+        assert full == blocks == (-6, 6)
 
     def test_unbalanced_vanishes(self):
         a = Matrix([[0, 0, 1], [0, 0, 2], [3, 4, 0]])
-        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,1,-1")))
-        assert rep.det_full == 0
-        assert rep.perm_full == 0
-        assert rep.det_blocks_signed is None
+        full, blocks = _factor_sides(a, antisym_block_form(a, parse_sign_vector("1,1,-1")))
+        assert full == blocks == (0, 0)
 
     def test_zero_matrix(self):
         a = Matrix.zero(3)
-        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1,1")))
-        assert rep.det_full == 0 and rep.perm_full == 0
+        full, blocks = _factor_sides(a, antisym_block_form(a, parse_sign_vector("1,-1,1")))
+        assert full == blocks == (0, 0)
 
     def test_printed_alternative_sign_fails_at_n2(self):
         # determinant of [[0, f], [g, 0]] is -f*g, so any sign rule of the
         # form (-1)^n (which is +1 at n=2) is refuted by this witness
         a = Matrix([[0, 2], [3, 0]])
-        rep = factor_invariants_antisym(a, antisym_block_form(a, parse_sign_vector("1,-1")))
+        (det_full, _), (det_blocks, _) = _factor_sides(
+            a, antisym_block_form(a, parse_sign_vector("1,-1"))
+        )
         blocks_det = determinant(rep_upper(a)) * determinant(rep_lower(a))
-        assert rep.det_full == (-1) ** (2 // 2) * blocks_det
-        assert rep.det_full != (-1) ** 2 * blocks_det
+        assert det_full == det_blocks == (-1) ** (2 // 2) * blocks_det
+        assert det_full != (-1) ** 2 * blocks_det
 
     def test_balanced_random_even_sizes(self):
         rng = random.Random(24)
@@ -243,9 +243,8 @@ class TestAntisymFactorizations:
                 rng.shuffle(tail)
                 c = parse_sign_vector(",".join(str(s) for s in [1] + tail))
                 a = antisym_part(random_matrix(rng, n), c)
-                rep = factor_invariants_antisym(a, antisym_block_form(a, c))
-                assert rep.det_full == rep.det_blocks_signed
-                assert rep.perm_full == rep.perm_blocks
+                full, blocks = _factor_sides(a, antisym_block_form(a, c))
+                assert full == blocks
 
     def test_unbalanced_random(self):
         rng = random.Random(25)
@@ -256,9 +255,18 @@ class TestAntisymFactorizations:
             if 2 * r == n:
                 continue
             a = antisym_part(random_matrix(rng, n), c)
-            rep = factor_invariants_antisym(a, antisym_block_form(a, c))
-            assert rep.det_full == 0
-            assert rep.perm_full == 0
+            full, blocks = _factor_sides(a, antisym_block_form(a, c))
+            assert full == blocks == (0, 0)
+
+
+class TestFactorSidesAboveDefaultCap:
+    def test_sym21_golden_form(self):
+        # n = 21 passes the permanent's default cap of 20; the caller's
+        # gate, not the kernel's, decides whether the sides are computed
+        a = load_matrix(str(GOLDEN / "sym21.json"), None)
+        c = parse_sign_vector("1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1")
+        full, product = _factor_sides(a, sym_block_form(a, c))
+        assert full == product
 
 
 def rep_upper(a: Matrix) -> Matrix:

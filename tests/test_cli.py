@@ -53,8 +53,9 @@ def negate_block_picks(monkeypatch):
 
 
 def shift_determinant(monkeypatch):
-    real = blockform.determinant
-    monkeypatch.setattr(blockform, "determinant", lambda m: real(m) + 1)
+    """Shift the determinant that the factor checks' `_factor_sides` reads."""
+    real = verification.determinant
+    monkeypatch.setattr(verification, "determinant", lambda m: real(m) + 1)
 
 
 def failed_checks(out):

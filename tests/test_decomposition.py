@@ -7,18 +7,15 @@ import pytest
 
 from signconj import (
     Matrix,
-    OrderOutOfRangeError,
     RangeError,
     Symmetry,
     admissible_sign_vectors,
     antisym_part,
-    classic_minor2_additivity,
-    classic_permanent2_additivity,
     classic_split,
     classify,
-    minor2_additivity,
+    order2_minor_sum,
+    order2_permanent_sum,
     parse_sign_vector,
-    permanent2_additivity,
     sign_conjugate,
     split,
     subspace_dims,
@@ -200,24 +197,32 @@ class TestSubspaceDims:
             subspace_dims(3, 4)
 
 
+def order2_sides(summer, a: Matrix, parts) -> tuple[Fraction, Fraction, Fraction]:
+    """summer on A and on the two parts of one split: the first equals the
+    sum of the other two."""
+    return summer(a), summer(parts.sym), summer(parts.antisym)
+
+
 class TestOrder2Additivity:
     def test_hand_triple_sign_split(self):
-        triple = minor2_additivity(Matrix([[1, 2], [3, 4]]), parse_sign_vector("1,-1"))
+        a = Matrix([[1, 2], [3, 4]])
+        triple = order2_sides(order2_minor_sum, a, split(a, parse_sign_vector("1,-1")))
         assert triple == (-2, 4, -6)
 
     def test_hand_triple_classic_split(self):
-        triple = classic_minor2_additivity(Matrix([[1, 2], [3, 4]]))
+        a = Matrix([[1, 2], [3, 4]])
+        triple = order2_sides(order2_minor_sum, a, classic_split(a))
         assert triple == (-2, Fraction(-9, 4), Fraction(1, 4))
 
     def test_diagonal_matrix_puts_everything_in_sym(self):
         a = Matrix.diagonal((2, 3, 5))
         for c in admissible_sign_vectors(3):
-            lhs, rhs_sym, rhs_anti = minor2_additivity(a, c)
+            lhs, rhs_sym, rhs_anti = order2_sides(order2_minor_sum, a, split(a, c))
             assert (lhs, rhs_sym, rhs_anti) == (lhs, lhs, 0)
 
-    def test_needs_order_two(self):
-        with pytest.raises(OrderOutOfRangeError):
-            minor2_additivity(Matrix([[1]]), parse_sign_vector("+"))
+    def test_sums_vanish_below_order_two(self):
+        for m in (Matrix.zero(0), Matrix([[7]])):
+            assert order2_minor_sum(m) == order2_permanent_sum(m) == 0
 
     def test_additivity_random(self):
         rng = random.Random(13)
@@ -225,14 +230,10 @@ class TestOrder2Additivity:
             n = rng.randint(2, 8)
             a = random_matrix(rng, n)
             c = random_sign_vector(rng, n)
-            for triple in (
-                minor2_additivity(a, c),
-                permanent2_additivity(a, c),
-                classic_minor2_additivity(a),
-                classic_permanent2_additivity(a),
-            ):
-                lhs, rhs_sym, rhs_anti = triple
-                assert lhs == rhs_sym + rhs_anti
+            for parts in (split(a, c), classic_split(a)):
+                for summer in (order2_minor_sum, order2_permanent_sum):
+                    lhs, rhs_sym, rhs_anti = order2_sides(summer, a, parts)
+                    assert lhs == rhs_sym + rhs_anti
 
     def test_matches_polynomial_coefficients(self):
         from signconj import char_poly, perm_poly
@@ -256,18 +257,16 @@ class TestOrder2Additivity:
 
 
 def _assert_order2_matches_subset_sums(a: Matrix, c) -> None:
-    """Each additivity triple equals the oracle's walk over the 2x2
-    principal subsets of A and of the two parts, and is additive."""
-    pair = split(a, c)
-    classic = classic_split(a)
-    for triple, parts, summer in (
-        (minor2_additivity(a, c), pair, sum_principal_minors),
-        (permanent2_additivity(a, c), pair, sum_principal_permanents),
-        (classic_minor2_additivity(a), classic, sum_principal_minors),
-        (classic_permanent2_additivity(a), classic, sum_principal_permanents),
-    ):
-        assert triple == tuple(summer(m, 2) for m in (a, parts.sym, parts.antisym))
-        assert triple[0] == triple[1] + triple[2]
+    """Each closed form, on A and on the two parts of both splits, equals
+    the oracle's walk over the 2x2 principal subsets, and is additive."""
+    for parts in (split(a, c), classic_split(a)):
+        for summer, oracle in (
+            (order2_minor_sum, sum_principal_minors),
+            (order2_permanent_sum, sum_principal_permanents),
+        ):
+            triple = order2_sides(summer, a, parts)
+            assert triple == tuple(oracle(m, 2) for m in (a, parts.sym, parts.antisym))
+            assert triple[0] == triple[1] + triple[2]
 
 
 class TestOrder2ClosedForms:

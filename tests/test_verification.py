@@ -1,5 +1,6 @@
 """Verification battery: outcome bookkeeping, caps, and edge dimensions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -196,10 +197,13 @@ class TestStabilizerBruteForce:
 
     @pytest.mark.parametrize("samples", [None, 2])
     def test_fails_when_a_vector_is_dropped(self, monkeypatch, samples):
-        real = verification.stabilizer_elements
-        monkeypatch.setattr(
-            verification, "stabilizer_elements", lambda a, cap: real(a, cap=cap)[:-1]
-        )
+        real = verification.orbit_size
+
+        def dropping(a, cap):
+            report = real(a, cap=cap)
+            return dataclasses.replace(report, stabilizer=report.stabilizer[:-1])
+
+        monkeypatch.setattr(verification, "orbit_size", dropping)
         report = verify_matrix(EDGE_PLUS_LOOP, samples=samples)
         assert not self.outcome(report).passed
         assert not report.passed
@@ -207,11 +211,14 @@ class TestStabilizerBruteForce:
     @pytest.mark.parametrize("samples", [None, 2])
     def test_fails_when_a_vector_is_swapped(self, monkeypatch, samples):
         # same count, wrong member: only the element comparison catches it
-        real = verification.stabilizer_elements
+        real = verification.orbit_size
         wrong = parse_sign_vector("1,-1,1")
-        monkeypatch.setattr(
-            verification, "stabilizer_elements", lambda a, cap: real(a, cap=cap)[:-1] + (wrong,)
-        )
+
+        def swapping(a, cap):
+            report = real(a, cap=cap)
+            return dataclasses.replace(report, stabilizer=report.stabilizer[:-1] + (wrong,))
+
+        monkeypatch.setattr(verification, "orbit_size", swapping)
         out = self.outcome(verify_matrix(EDGE_PLUS_LOOP, samples=samples))
         assert not out.passed
         assert out.lhs == "(1,1,1, 1,-1,1)"
