@@ -4,8 +4,9 @@ A matrix fixed by a sign conjugation is permutation similar to a
 block-diagonal matrix with one block per sign class; a matrix negated by
 it is permutation similar to a block anti-diagonal matrix.  Both use the
 same permutation: list the +1 positions in order, then the -1 positions.
-The invariants that factor through the blocks are compared by the
-checks that report them (`verification._factor_sides`), not here.
+Determinant, permanent and characteristic polynomial factor through the
+blocks; the checks that report them compare both sides
+(`verification._factor_sides`), not this module.
 """
 
 from __future__ import annotations
