@@ -44,7 +44,7 @@ print("\nBlock-diagonal form of the fixed part:")
 fixed = pair.sym
 form = sym_block_form(fixed, c)
 d, e = form.plus_block, form.minus_block
-print("  permutation:", form.permutation.images)
+print("  permutation:", form.partition.permutation)
 print("  plus block: ", d)
 print("  minus block:", e)
 print("  P^-1 (S) P: ", form.conjugated)

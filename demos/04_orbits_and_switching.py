@@ -8,7 +8,7 @@ connected components there are exactly 2^(n-t) distinct conjugates and
 Run: python demos/04_orbits_and_switching.py
 """
 
-from signconj import Matrix, graph_components, orbit_size, stabilizer_elements
+from signconj import Matrix, graph_components, orbit_size
 
 examples = [
     ("zero matrix (no edges)", Matrix.zero(3)),
@@ -27,4 +27,4 @@ for label, a in examples:
     print("  enumerated orbit:")
     for m in report.enumerated:
         print("    ", m)
-    print("  stabilizer:", ", ".join(f"({c})" for c in stabilizer_elements(a)))
+    print("  stabilizer:", ", ".join(f"({c})" for c in report.stabilizer))

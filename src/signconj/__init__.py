@@ -17,13 +17,11 @@ from .blockform import (
     antisym_block_form,
     assemble_antidiag,
     assemble_diag,
-    block_permutation,
     index_partition,
     sym_block_form,
 )
 from .core import (
     Matrix,
-    Permutation,
     Scalar,
     SignVector,
     admissible_sign_vectors,
@@ -81,7 +79,6 @@ from .orbit import (
     OrbitReport,
     graph_components,
     orbit_size,
-    stabilizer_elements,
 )
 from .verification import CheckOutcome, VerificationReport, verify_matrix
 
@@ -105,7 +102,6 @@ __all__ = [
     "NotSignSymmetricError",
     "NotSquareError",
     "OrbitReport",
-    "Permutation",
     "Polynomial",
     "RangeError",
     "Scalar",
@@ -121,7 +117,6 @@ __all__ = [
     "as_scalar",
     "assemble_antidiag",
     "assemble_diag",
-    "block_permutation",
     "cayley_table",
     "char_poly",
     "classic_split",
@@ -143,7 +138,6 @@ __all__ = [
     "sign_conjugate",
     "signature_matrix",
     "split",
-    "stabilizer_elements",
     "subspace_dims",
     "sym_block_form",
     "sym_part",

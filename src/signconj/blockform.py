@@ -3,7 +3,8 @@
 A matrix fixed by a sign conjugation is permutation similar to a
 block-diagonal matrix with one block per sign class; a matrix negated by
 it is permutation similar to a block anti-diagonal matrix.  Both use the
-same permutation: list the +1 positions in order, then the -1 positions.
+same permutation, the form's `partition.permutation`: list the +1
+positions in order, then the -1 positions.
 Determinant, permanent and characteristic polynomial factor through the
 blocks; the checks that report them compare both sides
 (`verification._factor_sides`), not this module.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Matrix, Permutation, SignVector, sign_conjugate
+from .core import Matrix, SignVector, sign_conjugate
 from .errors import DimensionMismatchError, NotSignAntisymmetricError, NotSignSymmetricError
 
 
@@ -29,11 +30,15 @@ class IndexPartition:
     def plus_count(self) -> int:
         return len(self.plus_indices)
 
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        """P as images: position k goes to the k-th entry of plus ++ minus."""
+        return self.plus_indices + self.minus_indices
+
 
 @dataclass(frozen=True)
 class SymBlockForm:
     partition: IndexPartition
-    permutation: Permutation
     plus_block: Matrix  # rows and columns with sign +1
     minus_block: Matrix  # rows and columns with sign -1
     conjugated: Matrix  # P^-1 * A * P, equal to diag(plus_block, minus_block)
@@ -42,7 +47,6 @@ class SymBlockForm:
 @dataclass(frozen=True)
 class AntisymBlockForm:
     partition: IndexPartition
-    permutation: Permutation
     upper_block: Matrix  # +1 rows x -1 columns
     lower_block: Matrix  # -1 rows x +1 columns
     conjugated: Matrix  # P^-1 * A * P, equal to assemble_antidiag(upper_block, lower_block)
@@ -53,12 +57,6 @@ def index_partition(c: SignVector) -> IndexPartition:
     plus = tuple(i + 1 for i, s in enumerate(c.signs) if s == 1)
     minus = tuple(i + 1 for i, s in enumerate(c.signs) if s == -1)
     return IndexPartition(plus, minus)
-
-
-def block_permutation(c: SignVector) -> Permutation:
-    """Permutation sending position k to the k-th entry of plus ++ minus."""
-    part = index_partition(c)
-    return Permutation(part.plus_indices + part.minus_indices)
 
 
 def _pick(a: Matrix, row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> Matrix:
@@ -98,10 +96,10 @@ def assemble_antidiag(f: Matrix, g: Matrix) -> Matrix:
     return Matrix._reduced(tuple(rows), r + s, den)
 
 
-def _gather(a: Matrix, c: SignVector) -> tuple[IndexPartition, Permutation, Matrix]:
-    """Partition, P and P^-1*A*P: the rows and columns of A in plus ++ minus order."""
-    perm = block_permutation(c)
-    return index_partition(c), perm, _pick(a, perm.images, perm.images)
+def _gather(a: Matrix, c: SignVector) -> tuple[IndexPartition, Matrix]:
+    """Partition and P^-1*A*P: the rows and columns of A in plus ++ minus order."""
+    part = index_partition(c)
+    return part, _pick(a, part.permutation, part.permutation)
 
 
 def sym_block_form(a: Matrix, c: SignVector) -> SymBlockForm:
@@ -112,17 +110,17 @@ def sym_block_form(a: Matrix, c: SignVector) -> SymBlockForm:
     """
     if sign_conjugate(a, c) != a:
         raise NotSignSymmetricError("matrix is not fixed by this sign conjugation")
-    part, perm, conjugated = _gather(a, c)
+    part, conjugated = _gather(a, c)
     plus_block = _pick(a, part.plus_indices, part.plus_indices)
     minus_block = _pick(a, part.minus_indices, part.minus_indices)
-    return SymBlockForm(part, perm, plus_block, minus_block, conjugated)
+    return SymBlockForm(part, plus_block, minus_block, conjugated)
 
 
 def antisym_block_form(a: Matrix, c: SignVector) -> AntisymBlockForm:
     """Block anti-diagonal form of a matrix the conjugation negates."""
     if sign_conjugate(a, c) != -a:
         raise NotSignAntisymmetricError("matrix is not negated by this sign conjugation")
-    part, perm, conjugated = _gather(a, c)
+    part, conjugated = _gather(a, c)
     upper = _pick(a, part.plus_indices, part.minus_indices)
     lower = _pick(a, part.minus_indices, part.plus_indices)
-    return AntisymBlockForm(part, perm, upper, lower, conjugated)
+    return AntisymBlockForm(part, upper, lower, conjugated)

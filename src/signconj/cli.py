@@ -326,7 +326,7 @@ def _cmd_blockform(args) -> int:
         results.update(
             plus_indices=list(form.partition.plus_indices),
             minus_indices=list(form.partition.minus_indices),
-            permutation=list(form.permutation.images),
+            permutation=list(form.partition.permutation),
             **blocks,
             conjugated=form.conjugated,
         )

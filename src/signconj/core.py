@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul, neg
@@ -297,10 +296,6 @@ class SignVector:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SignVector is immutable")
 
-    @classmethod
-    def all_ones(cls, n: int) -> SignVector:
-        return cls((1,) * n)
-
     def __len__(self) -> int:
         return len(self.signs)
 
@@ -363,30 +358,6 @@ def admissible_sign_vectors(n: int) -> Iterator[SignVector]:
     if n < 1:
         raise EmptySignVectorError("sign vectors need length >= 1")
     yield from _sign_vectors(n, [[v] for v in range(1, n)])
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {1..n}; images[k] is the image of position k+1."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise DimensionMismatchError(f"{self.images} is not a permutation of 1..{n}")
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for k, image in enumerate(self.images, start=1):
-            inv[image - 1] = k
-        return Permutation(tuple(inv))
 
 
 def _check_conformable(a: Matrix, c: SignVector, operation: str = "sign conjugation") -> None:

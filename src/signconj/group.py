@@ -25,7 +25,7 @@ def compose(c: SignVector, d: SignVector) -> SignVector:
 
 def identity_element(n: int) -> SignVector:
     """The all-ones vector, whose map is the identity."""
-    return SignVector.all_ones(n)
+    return SignVector((1,) * n)
 
 
 def to_bits(c: SignVector) -> str:

@@ -32,7 +32,7 @@ from itertools import chain, product
 from operator import itemgetter
 
 from .core import Matrix, SignVector, _sign_vectors, sign_conjugate
-from .errors import EmptySignVectorError, SizeCapExceededError
+from .errors import EmptySignVectorError
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -49,9 +49,10 @@ class ComponentLabeling:
 @dataclass(frozen=True)
 class OrbitReport:
     """The census of one matrix.  `labels` are its component labels (see
-    ComponentLabeling); `enumerated` and `stabilizer` list the distinct
-    conjugates and the fixing vectors, in the orders of `_enumerate_distinct`
-    and `stabilizer_elements`, or are None above the enumeration cap."""
+    ComponentLabeling); `enumerated` lists the distinct conjugates in the
+    order of `_enumerate_distinct`, and `stabilizer` the fixing vectors,
+    +1-first in lexicographic order; both are None above the enumeration
+    cap."""
 
     component_count: int
     orbit_size: int
@@ -147,16 +148,15 @@ def _enumerate_distinct(a: Matrix, components: list[list[int]]) -> tuple[Matrix,
     return tuple(conjugates)
 
 
-def _require_vertices(a: Matrix, operation: str) -> None:
-    a.require_square(operation)
-    if not a.rows:
-        raise EmptySignVectorError(f"{operation} needs n >= 1, as sign vectors do")
-
-
 def orbit_size(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitReport:
     """The census from one component search: orbit and stabilizer sizes
-    from the component count and, for n within `cap`, both listed."""
-    _require_vertices(a, "orbit census")
+    from the component count and, for n within `cap`, both listed.  A
+    fixing vector is constant on every component and +1 on vertex 1's,
+    so each other component flips freely; `verify` compares the list with
+    a brute-force search over all admissible vectors."""
+    a.require_square("orbit census")
+    if not a.rows:
+        raise EmptySignVectorError("orbit census needs n >= 1, as sign vectors do")
     n = a.rows
     labeling = graph_components(a)
     t = labeling.count
@@ -167,18 +167,3 @@ def orbit_size(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> OrbitReport:
         stabilizer = tuple(_sign_vectors(n, components[1:]))
     return OrbitReport(t, 1 << (n - t), 1 << (t - 1), enumerated, labeling.labels, stabilizer)
 
-
-def stabilizer_elements(a: Matrix, *, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[SignVector, ...]:
-    """All sign vectors whose conjugation fixes the matrix, +1-first in
-    lexicographic order.
-
-    Built constructively: a fixing vector must be constant on every
-    connected component, the component of vertex 1 is pinned to +1, and
-    each remaining component flips freely.  `verify` compares the result
-    with a brute-force search over all admissible vectors.
-    """
-    _require_vertices(a, "stabilizer")
-    n = a.rows
-    if n > cap:
-        raise SizeCapExceededError(f"stabilizer enumeration for n={n} exceeds cap {cap}")
-    return tuple(_sign_vectors(n, _members(graph_components(a))[1:]))

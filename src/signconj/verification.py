@@ -28,7 +28,6 @@ from .blockform import (
 )
 from .core import (
     Matrix,
-    Permutation,
     SignVector,
     admissible_sign_vectors,
     conjugate_by_signature,
@@ -171,17 +170,18 @@ def _principal_sums(poly: Polynomial, n: int) -> list[Fraction]:
     return [Fraction((-1) ** (n - k) * nums[n - k], den) for k in range(n + 1)]
 
 
-def _gather_by_permutation(a: Matrix, p: Permutation) -> Matrix:
-    """P^-1*A*P read through p alone, entry (i, j) = a[p(i)][p(j)]: independent of
-    both the index gather and the blocks blockform returns."""
-    ids = range(1, len(p) + 1)
-    return Matrix([[a.nums[p(i) - 1][p(j) - 1] for j in ids] for i in ids], den=a.den)
+def _gather_by_permutation(a: Matrix, images: tuple[int, ...]) -> Matrix:
+    """P^-1*A*P read through P's 1-based images p alone, entry (i, j) =
+    a[p(i)][p(j)]: independent of both the index gather and the blocks
+    blockform returns."""
+    rows = [a.nums[i - 1] for i in images]
+    return Matrix([[row[j - 1] for j in images] for row in rows], den=a.den)
 
 
 def _record_block_form(out: CheckOutcome, a: Matrix, form: BlockForm, context: str = "") -> None:
     """Record P^-1*A*P, read through the form's permutation, against the
     form's conjugated matrix and then against the assembly of its blocks."""
-    gathered = _gather_by_permutation(a, form.permutation)
+    gathered = _gather_by_permutation(a, form.partition.permutation)
     out.record(form.conjugated, gathered, context)
     if isinstance(form, SymBlockForm):
         blocks = assemble_diag(form.plus_block, form.minus_block)

@@ -23,7 +23,6 @@ from typing import Sequence
 from signconj import (
     InternalConsistencyError,
     Matrix,
-    Permutation,
     Polynomial,
     SignVector,
     admissible_sign_vectors,
@@ -358,18 +357,20 @@ def components_by_reachability(a: Matrix) -> tuple[tuple[int, ...], int]:
     return labels, len(ids)
 
 
-def permutation_matrix(p: Permutation) -> Matrix:
-    """0/1 matrix whose column j is the standard basis vector e_{p.images[j]}."""
-    n = len(p)
+def permutation_matrix(images: Sequence[int]) -> Matrix:
+    """0/1 matrix whose column j is the standard basis vector e_{images[j]},
+    for 1-based images."""
+    n = len(images)
     return Matrix(
-        (tuple(1 if p.images[j] == i + 1 else 0 for j in range(n)) for i in range(n)),
+        (tuple(1 if images[j] == i + 1 else 0 for j in range(n)) for i in range(n)),
         cols=n,
     )
 
 
-def conjugate_by_permutation_matrix(a: Matrix, p: Permutation) -> Matrix:
-    """P^T * A * P with P = permutation_matrix(p); P is orthogonal, so this is P^-1 * A * P."""
-    pm = permutation_matrix(p)
+def conjugate_by_permutation_matrix(a: Matrix, images: Sequence[int]) -> Matrix:
+    """P^T * A * P with P = permutation_matrix(images); P is orthogonal, so
+    this is P^-1 * A * P."""
+    pm = permutation_matrix(images)
     return pm.transpose() @ a @ pm
 
 

@@ -20,7 +20,6 @@ from signconj import (
     antisym_part,
     assemble_antidiag,
     assemble_diag,
-    block_permutation,
     cayley_table,
     char_poly,
     classify,
@@ -29,6 +28,7 @@ from signconj import (
     determinant,
     graph_components,
     identity_element,
+    index_partition,
     order2_minor_sum,
     order2_permanent_sum,
     orbit_size,
@@ -39,7 +39,6 @@ from signconj import (
     sign_conjugate,
     signature_matrix,
     split,
-    stabilizer_elements,
     subspace_dims,
     sym_block_form,
     sym_part,
@@ -286,7 +285,8 @@ def test_criterion_08_block_forms():
             form = sym_block_form(a, c)
             if form.conjugated != assemble_diag(form.plus_block, form.minus_block):
                 failures.append(("sym similarity", n, c))
-            if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
+            images = index_partition(c).permutation
+            if form.conjugated != conjugate_by_permutation_matrix(a, images):
                 failures.append(("sym permutation-matrix similarity", n, c))
             (char_full, *det_perm_full), (char_product, *det_perm_product) = _factor_sides(a, form)
             if char_full != char_product:
@@ -299,7 +299,8 @@ def test_criterion_08_block_forms():
             form = antisym_block_form(a, c)
             if form.conjugated != assemble_antidiag(form.upper_block, form.lower_block):
                 failures.append(("antisym similarity", n, c))
-            if form.conjugated != conjugate_by_permutation_matrix(a, block_permutation(c)):
+            images = index_partition(c).permutation
+            if form.conjugated != conjugate_by_permutation_matrix(a, images):
                 failures.append(("antisym permutation-matrix similarity", n, c))
             (det_full, perm_full), (det_blocks, perm_blocks) = _factor_sides(a, form)
             if 2 * form.partition.plus_count != n:
@@ -352,7 +353,7 @@ def test_criterion_09_orbit_counting():
         if len(distinct) != 2 ** (n - t):
             failures.append(("orbit count", a))
         brute = {c for c in admissible_sign_vectors(n) if sign_conjugate(a, c) == a}
-        constructive = set(stabilizer_elements(a))
+        constructive = set(orbit_size(a, cap=n).stabilizer)
         if brute != constructive or len(brute) != 2 ** (t - 1):
             failures.append(("stabilizer", a))
         report = orbit_size(a)

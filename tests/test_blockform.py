@@ -4,18 +4,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signconj import (
     DimensionMismatchError,
     Matrix,
     NotSignAntisymmetricError,
     NotSignSymmetricError,
-    Permutation,
+    SignVector,
     antisym_block_form,
     antisym_part,
     assemble_antidiag,
     assemble_diag,
-    block_permutation,
     char_poly,
     determinant,
     index_partition,
@@ -62,11 +63,37 @@ class TestBlockPermutation:
         ],
     )
     def test_examples(self, signs, images):
-        assert block_permutation(parse_sign_vector(signs)) == Permutation(images)
+        assert index_partition(parse_sign_vector(signs)).permutation == images
 
     def test_orthogonal(self):
-        p = permutation_matrix(block_permutation(parse_sign_vector("1,-1,1,-1")))
+        p = permutation_matrix(index_partition(parse_sign_vector("1,-1,1,-1")).permutation)
         assert p.transpose() @ p == Matrix.identity(4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from((1, -1)), min_size=n - 1, max_size=n - 1),
+                st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n),
+            )
+        )
+    )
+    def test_property_bijection_plus_then_minus(self, drawn):
+        """The permutation is a bijection of 1..n listing the +1 positions,
+        then the -1 positions, each increasing, and both block forms carry
+        the partition it comes from."""
+        tail, entries = drawn
+        c = SignVector([1] + tail)
+        n = len(c)
+        part = index_partition(c)
+        p = part.permutation
+        assert sorted(p) == list(range(1, n + 1))
+        r = part.plus_count
+        assert all(c[i - 1] == 1 for i in p[:r]) and all(c[i - 1] == -1 for i in p[r:])
+        assert list(p[:r]) == sorted(p[:r]) and list(p[r:]) == sorted(p[r:])
+        a = Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
+        assert sym_block_form(sym_part(a, c), c).partition == part
+        assert antisym_block_form(antisym_part(a, c), c).partition == part
 
 
 class TestSymBlockForm:
@@ -75,13 +102,13 @@ class TestSymBlockForm:
         form = sym_block_form(a, parse_sign_vector("1,1,-1"))
         assert form.plus_block == Matrix([[1, 2], [3, 4]])
         assert form.minus_block == Matrix([[5]])
-        assert form.permutation == Permutation((1, 2, 3))
+        assert form.partition.permutation == (1, 2, 3)
         assert form.conjugated == a
 
     def test_interleaved_case(self):
         a = Matrix([[1, 0, 5], [0, 2, 0], [7, 0, 3]])
         form = sym_block_form(a, parse_sign_vector("1,-1,1"))
-        assert form.permutation == Permutation((1, 3, 2))
+        assert form.partition.permutation == (1, 3, 2)
         assert form.plus_block == Matrix([[1, 5], [7, 3]])
         assert form.minus_block == Matrix([[2]])
         assert form.conjugated == assemble_diag(form.plus_block, form.minus_block)
@@ -162,7 +189,8 @@ class TestAgainstPermutationMatrix:
             c = random_sign_vector(rng, n)
             a = sym_part(random_matrix(rng, n), c)
             form = sym_block_form(a, c)
-            assert form.conjugated == conjugate_by_permutation_matrix(a, block_permutation(c))
+            images = index_partition(c).permutation
+            assert form.conjugated == conjugate_by_permutation_matrix(a, images)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_negated_inputs(self, n):
@@ -171,7 +199,8 @@ class TestAgainstPermutationMatrix:
             c = random_sign_vector(rng, n)
             a = antisym_part(random_matrix(rng, n), c)
             form = antisym_block_form(a, c)
-            assert form.conjugated == conjugate_by_permutation_matrix(a, block_permutation(c))
+            images = index_partition(c).permutation
+            assert form.conjugated == conjugate_by_permutation_matrix(a, images)
 
 
 class TestSymFactorizations:

@@ -14,8 +14,10 @@ import pytest
 
 from signconj.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+FIXTURES = ROOT / "src" / "signconj" / "fixtures"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
 SIGNS12 = "1,-1,1,1,-1,-1,1,-1,1,-1,-1,1"
 SIGNS21 = "1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1"
 
@@ -97,3 +99,12 @@ def test_report_after_usage_error_matches_golden(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert_matches_golden(capsys, "verify_verify6")
+
+
+def test_roster_matches_golden_files_and_ci():
+    # a case without a file fails above, but a file without a case, or a
+    # case that CI's installed-script step never compares, would go unchecked
+    stems = {path.name.removesuffix(".out.json") for path in GOLDEN.glob("*.out.json")}
+    assert set(CASES) == stems
+    ci = CI.read_text()
+    assert [name for name in CASES if f"{name}.out.json" not in ci] == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from signconj import (
     DimensionMismatchError,
+    EmptySignVectorError,
     Matrix,
     SignVector,
     SizeCapExceededError,
@@ -56,6 +57,10 @@ class TestIdentity:
     def test_values(self):
         assert identity_element(3).signs == (1, 1, 1)
         assert identity_element(1).signs == (1,)
+
+    def test_empty_length_rejected(self):
+        with pytest.raises(EmptySignVectorError):
+            identity_element(0)
 
 
 class TestBits:
