@@ -23,7 +23,7 @@ from signconj import (
     trace,
     verification,
 )
-from signconj.invariants import _char_poly_int, _perm_glynn_int, _perm_poly_ryser_int
+from signconj.invariants import _char_poly_int, _perm_glynn_int, _perm_poly_int
 from oracles import (
     cofactor_determinant,
     expansion_permanent,
@@ -499,14 +499,29 @@ class TestPermPoly:
             cases.append(random_sparse_matrix(rng, n).nums)
         cases.append([[rng.choice((-big, big)) for _ in range(5)] for _ in range(5)])
         cases.append([[rng.choice((-big, 0, 1, big)) for _ in range(6)] for _ in range(6)])
+        # n = 12 inputs where most column subsets carry a zero value and are
+        # skipped: a shuffled signed permutation matrix, a strictly lower
+        # triangular one, and a lower block-triangular one with blocks 5, 4, 3
+        images = rng.sample(range(12), 12)
+        cases.append(
+            [[rng.choice((-1, 1)) if j == images[i] else 0 for j in range(12)] for i in range(12)]
+        )
+        cases.append([[rng.randint(1, 9) if j < i else 0 for j in range(12)] for i in range(12)])
+        block = [0] * 5 + [1] * 4 + [2] * 3
+        cases.append(
+            [
+                [rng.randint(-9, 9) if block[j] <= block[i] else 0 for j in range(12)]
+                for i in range(12)
+            ]
+        )
         for rows in cases:
-            assert _perm_poly_ryser_int(rows) == ryser_perm_poly(rows)
+            assert _perm_poly_int(rows) == ryser_perm_poly(rows)
         # perm(D - y*I) = prod_i (d_i - y); with the d_i of one sign the |c_k|
         # sum to prod_i (1 + |d_i|), the bound the base-2^k digits are sized by
         for diagonal in ([1] * 4, [3, 7, 1, 15, 3], [-9, -8, 0, -5, -2, -1, -7], [big] * 3, [-big] * 4):
             n = len(diagonal)
             rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
-            coeffs = _perm_poly_ryser_int(rows)
+            coeffs = _perm_poly_int(rows)
             assert coeffs == ryser_perm_poly(rows)
             assert sum(map(abs, coeffs)) == math.prod(1 + abs(d) for d in diagonal)
 
@@ -521,7 +536,7 @@ class TestPermPoly:
         monkeypatch.setattr(verification, "_interpolate_shifts", forbidden)
         assert perm_poly(a) == expected_poly
         monkeypatch.undo()
-        monkeypatch.setattr(invariants, "_perm_poly_ryser_int", forbidden)
+        monkeypatch.setattr(invariants, "_perm_poly_int", forbidden)
         assert permanent(a) == expected_perm
 
     def test_matches_sympy_per(self):
@@ -568,7 +583,7 @@ _wide_int_entries = st.one_of(
     )
 )
 def test_perm_poly_kernel_matches_ryser_poly(rows):
-    assert _perm_poly_ryser_int(rows) == ryser_perm_poly(rows)
+    assert _perm_poly_int(rows) == ryser_perm_poly(rows)
 
 
 def test_expansion_permanent_matches_naive_oracle():

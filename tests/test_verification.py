@@ -373,7 +373,7 @@ class TestPrincipalSums:
 
     @pytest.mark.parametrize("kernel, check", [
         ("_char_poly_int", "minor_sum_invariant"),
-        ("_perm_poly_ryser_int", "permanent_sum_invariant"),
+        ("_perm_poly_int", "permanent_sum_invariant"),
     ])
     def test_perturbed_polynomial_kernel_fails(self, monkeypatch, kernel, check):
         real = getattr(invariants, kernel)
