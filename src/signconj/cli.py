@@ -257,11 +257,11 @@ def _cmd_invariants(args) -> int:
     }
     omitted = {}
     if a.rows <= args.perm_cap:
-        results["permanent"] = str(invariants.permanent(a, cap=args.perm_cap))
+        results["permanent"] = str(invariants.permanent(a))
     else:
         omitted["permanent"] = f"n={a.rows} exceeds --perm-cap {args.perm_cap}"
     if a.rows <= args.permpoly_cap:
-        results["perm_poly"] = _poly_json(invariants.perm_poly(a, cap=args.permpoly_cap))
+        results["perm_poly"] = _poly_json(invariants.perm_poly(a))
     else:
         omitted["perm_poly"] = f"n={a.rows} exceeds --permpoly-cap {args.permpoly_cap}"
     report = {"command": "invariants", "inputs": _inputs_block(args, a), "results": results}

@@ -23,8 +23,9 @@ from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
-from .errors import SizeCapExceededError
 
+# the largest n at which the commands and verify_matrix compute these by
+# default; the kernels themselves take any n
 DEFAULT_PERMANENT_CAP = 20
 DEFAULT_PERM_POLY_CAP = 12
 
@@ -376,11 +377,9 @@ def determinant(a: Matrix) -> Fraction:
     return Fraction(_bareiss_int(a.nums, a.rows)[1], a.den ** a.rows)
 
 
-def permanent(a: Matrix, *, cap: int = DEFAULT_PERMANENT_CAP) -> Fraction:
-    """Exact permanent by Glynn's formula; 2^(n-1) terms, guarded by `cap`."""
+def permanent(a: Matrix) -> Fraction:
+    """Exact permanent by Glynn's formula: a sum of 2^(n-1) terms."""
     a.require_square("permanent")
-    if a.rows > cap:
-        raise SizeCapExceededError(f"permanent of a {a.rows}x{a.rows} matrix exceeds cap {cap}")
     return Fraction(_perm_glynn_int(a.nums), a.den ** a.rows)
 
 
@@ -403,21 +402,18 @@ def char_poly(a: Matrix) -> Polynomial:
     return _over_den_powers(_char_poly_int(a.nums), a.den, -1 if n % 2 else 1)
 
 
-def perm_poly(a: Matrix, *, cap: int = DEFAULT_PERM_POLY_CAP) -> Polynomial:
+def perm_poly(a: Matrix) -> Polynomial:
     """Permanental polynomial perm(A - x*I), ascending coefficients.
 
     The permanent of N - 2^k*I for the denominator-cleared matrix
     N = den*A, with the coefficients read back as base-2^k digits of the
-    result.  It is expanded row by row over the column subsets, n*2^(n-1)
-    multiply-adds at most, one of them wide times wide per subset, on
-    numbers of up to about n*k bits with k about n*log2(row sum), and it
-    holds a list of 2^n slots: a traced peak of about 0.25 MiB at n = 12
-    and 6 MiB at n = 16 for dense rational input.  `cap` is a size guard.
+    result.  It is expanded row by row over the column subsets: n*2^(n-1)
+    multiply-adds at most in a list of 2^n slots.  One multiply-add per
+    subset is wide times wide, on numbers of up to about n*k bits with k
+    about n*log2(row sum); the traced peak is about 0.25 MiB at n = 12 and
+    6 MiB at n = 16 for dense rational input.
     With y = den*x, perm(A - x*I) = perm(N - y*I) / den^n, so coefficient
     k is c_k * den^k / den^n.
     """
     a.require_square("permanental polynomial")
-    n = a.rows
-    if n > cap:
-        raise SizeCapExceededError(f"permanental polynomial of a {n}x{n} matrix exceeds cap {cap}")
     return _over_den_powers(_perm_poly_int(a.nums), a.den, 1)

@@ -16,7 +16,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .blockform import (
     AntisymBlockForm,
@@ -200,25 +199,23 @@ def _factor_sides(a: Matrix, form: BlockForm) -> tuple[tuple, tuple]:
     anti-diagonal blocks: the block anti-diagonal form needs (n/2)^2
     column transpositions to become block diagonal, and
     (-1)^((n/2)^2) = (-1)^(n/2).  The superficially plausible sign (-1)^n
-    is wrong whenever n = 2 (mod 4); tests pin this down at n = 2.
-    Permanents run at cap n: the caller's gate decides what is affordable."""
-    n = a.rows
+    is wrong whenever n = 2 (mod 4); tests pin this down at n = 2."""
     if isinstance(form, SymBlockForm):
         d, e = form.plus_block, form.minus_block
         return (
-            (char_poly(a), determinant(a), permanent(a, cap=n)),
+            (char_poly(a), determinant(a), permanent(a)),
             (
                 char_poly(d) * char_poly(e),
                 determinant(d) * determinant(e),
-                permanent(d, cap=n) * permanent(e, cap=n),
+                permanent(d) * permanent(e),
             ),
         )
     f, g = form.upper_block, form.lower_block
-    full = determinant(a), permanent(a, cap=n)
-    if 2 * f.rows != n:
+    full = determinant(a), permanent(a)
+    if 2 * f.rows != a.rows:
         return full, (0, 0)
     sign = -1 if f.rows % 2 else 1
-    return full, (sign * determinant(f) * determinant(g), permanent(f, cap=n) * permanent(g, cap=n))
+    return full, (sign * determinant(f) * determinant(g), permanent(f) * permanent(g))
 
 
 def verify_matrix(
@@ -254,15 +251,11 @@ def verify_matrix(
         "char": char_poly(a),
     }
     if do_perm:
-        base["perm"] = permanent(a, cap=perm_cap)
+        base["perm"] = permanent(a)
     if do_permpoly:
-        base["permpoly"] = perm_poly(a, cap=permpoly_cap)
+        base["permpoly"] = perm_poly(a)
     minor_sums = _principal_sums(_interpolate_shifts(a, determinant), n)
-    perm_sums = (
-        _principal_sums(_interpolate_shifts(a, partial(permanent, cap=n)), n)
-        if do_permpoly
-        else None
-    )
+    perm_sums = _principal_sums(_interpolate_shifts(a, permanent), n) if do_permpoly else None
 
     checks: dict[str, CheckOutcome] = {}
 
@@ -302,9 +295,9 @@ def verify_matrix(
         check("char_poly_invariant").record(char, base["char"], label)
         check("minor_sum_invariant").record(_principal_sums(char, n), minor_sums, label)
         if do_perm:
-            check("permanent_invariant").record(permanent(conj, cap=perm_cap), base["perm"], label)
+            check("permanent_invariant").record(permanent(conj), base["perm"], label)
         if do_permpoly:
-            ppoly = perm_poly(conj, cap=permpoly_cap)
+            ppoly = perm_poly(conj)
             check("perm_poly_invariant").record(ppoly, base["permpoly"], label)
             check("permanent_sum_invariant").record(_principal_sums(ppoly, n), perm_sums, label)
 
@@ -375,9 +368,9 @@ def verify_matrix(
     else:
         skipped.append(("distinct_maps_on_dense_witness", f"n={n} exceeds exhaustive cap {EXHAUSTIVE_MAX_N}"))
 
-    report = orbit_size(a, cap=orbit_cap)
-    t = report.component_count
     if n <= orbit_cap:
+        report = orbit_size(a, cap=orbit_cap)
+        t = report.component_count
         # one brute-force pass over every conjugate, in the orders the library
         # uses: fixing vectors +1-first, distinct conjugates by first occurrence.
         # A conjugate only negates entries, so it keeps A's den and its
@@ -404,7 +397,6 @@ def verify_matrix(
         check("orbit_times_stabilizer").record(len(distinct) * len(fixing), 1 << (n - 1))
     else:
         skipped.append(("orbit_enumeration", f"n={n} exceeds orbit cap {orbit_cap}"))
-        check("orbit_times_stabilizer").record((1 << (n - t)) * (1 << (t - 1)), 1 << (n - 1))
 
     ordered = tuple(checks.values())
     return VerificationReport(ordered, tuple(skipped))

@@ -290,8 +290,8 @@ class TestAntisymFactorizations:
 
 class TestFactorSidesAboveDefaultCap:
     def test_sym21_golden_form(self):
-        # n = 21 passes the permanent's default cap of 20; the caller's
-        # gate, not the kernel's, decides whether the sides are computed
+        # n = 21 is above the commands' default permanent cap of 20, which
+        # gates the callers only: the sides, permanents included, are computed
         a = load_matrix(str(GOLDEN / "sym21.json"), None)
         c = parse_sign_vector("1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1,-1,1,1")
         full, product = _factor_sides(a, sym_block_form(a, c))

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -173,14 +175,25 @@ class TestInvariants:
         rows = "\n".join(",".join("1" for _ in range(5)) for _ in range(5))
         path = write_matrix(tmp_path, "m.csv", rows + "\n")
         code, out, _ = run_cli(
+            capsys, "invariants", "--matrix", path, "--perm-cap", "5", "--permpoly-cap", "5"
+        )
+        assert code == 0
+        report = json.loads(out)
+        # perm(J_5) = 5! and perm(J_5 - x*I) = sum_k C(5,k) * (5-k)! * (-x)^k
+        assert report["results"]["permanent"] == "120"
+        assert report["results"]["perm_poly"] == ["120", "-120", "60", "-20", "5", "-1"]
+        assert "omitted" not in report
+        code, out, _ = run_cli(
             capsys, "invariants", "--matrix", path, "--perm-cap", "4", "--permpoly-cap", "4"
         )
         assert code == 0
         report = json.loads(out)
         assert "permanent" not in report["results"]
         assert "perm_poly" not in report["results"]
-        assert "exceeds" in report["omitted"]["permanent"]
-        assert "exceeds" in report["omitted"]["perm_poly"]
+        assert report["omitted"] == {
+            "permanent": "n=5 exceeds --perm-cap 4",
+            "perm_poly": "n=5 exceeds --permpoly-cap 4",
+        }
 
 
 class TestDecompose:
@@ -683,6 +696,32 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: internal inconsistency: ")
         assert "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    """`python -m signconj` in a fresh interpreter, run from the fixtures
+    directory so that the report's path field is the bare file name the
+    golden file stores."""
+
+    @staticmethod
+    def run_module(*argv: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent)}
+        return subprocess.run(
+            [sys.executable, "-m", "signconj", *argv],
+            cwd=FIXTURES, env=env, capture_output=True, timeout=60,
+        )
+
+    def test_verify_matches_golden(self):
+        done = self.run_module("verify", "--matrix", "verify6.json")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "verify_verify6.out.json").read_bytes()
+
+    def test_missing_file_exit_2(self):
+        done = self.run_module("verify", "--matrix", "missing.json")
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read")
+        assert b"Traceback" not in done.stderr
 
 
 def unlimited_str(x: int) -> str:

@@ -12,7 +12,6 @@ from signconj import (
     Matrix,
     NotSquareError,
     Polynomial,
-    SizeCapExceededError,
     char_poly,
     determinant,
     invariants,
@@ -179,10 +178,6 @@ class TestPermanent:
             a = random_matrix(rng, n, integer=(n > 5))
             assert permanent(a) == naive_permanent(a)
 
-    def test_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            permanent(Matrix.identity(5), cap=4)
-
     @pytest.mark.parametrize("n", [*range(13), 16])
     def test_matches_ryser_oracle(self, n):
         rng = random.Random(1400 + n)
@@ -198,10 +193,10 @@ class TestPermanent:
             cases += [Matrix(zero_row, cols=n), Matrix(zero_col, cols=n)]
         for a in cases:
             expected = Fraction(ryser_permanent(a.nums), a.den**n)
-            assert permanent(a, cap=n) == expected
+            assert permanent(a) == expected
             if n <= 6:
                 assert naive_permanent(a) == expected
-        assert permanent(Matrix.identity(n), cap=n) == 1
+        assert permanent(Matrix.identity(n)) == 1
 
     def test_matches_sympy(self):
         rng = random.Random(1515)
@@ -440,9 +435,11 @@ class TestPermPoly:
             a = random_matrix(rng, n)
             assert perm_poly(a)(0) == permanent(a)
 
-    def test_cap(self):
-        with pytest.raises(SizeCapExceededError):
-            perm_poly(Matrix.identity(4), cap=3)
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_above_default_cap_matches_ryser_poly_oracle(self, n):
+        # the commands' default cap is 12; the kernel itself takes any n
+        a = random_sparse_matrix(random.Random(2600 + n), n)
+        assert perm_poly(a) == Polynomial(ryser_perm_poly(a.nums))
 
     @pytest.mark.parametrize("kind", ["rational", "integer", "sparse"])
     def test_matches_principal_sums_and_interpolation(self, kind):

@@ -81,7 +81,17 @@ class TestVerifyMatrix:
         assert "orbit_enumeration" in skipped_names
         run_names = {c.name for c in report.checks}
         assert "permanent_invariant" not in run_names
-        assert "orbit_times_stabilizer" in run_names
+        # above the orbit cap nothing is recorded in place of the brute-force count
+        assert "orbit_times_stabilizer" not in run_names
+
+    def test_no_census_above_orbit_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit_size called above the orbit cap")
+
+        monkeypatch.setattr(verification, "orbit_size", refuse)
+        report = verify_matrix(random_matrix(random.Random(31), 4), orbit_cap=0)
+        assert report.passed
+        assert ("orbit_enumeration", "n=4 exceeds orbit cap 0") in report.skipped
 
     def test_sampled_vectors_deterministic(self):
         a = Matrix([[1, 2], [3, 4]])
