@@ -8,19 +8,27 @@ exact; results are rescaled back to rationals at the end.  The
 permanent is Glynn's formula, a signed sum over the 2^(n-1) admissible
 sign vectors d with d_1 = +1: the column sums of the states of d_2..d_9
 are packed as records of two ints, and each step of a Gray-code walk
-over d_10..d_n decodes those 2^8 terms at once.  The permanental
-polynomial is the permanent of N - 2^k*I, expanded row by row over
-column subsets in a list of 2^n slots, with its coefficients read back
-as base-2^k digits, so the two share no kernel.
+over d_10..d_n decodes those 2^8 terms at once.  From n = 15 on, the
+walk is split into 2^m parts, 2^m the largest power of two at most the
+CPUs the process may use: each part fixes the signs of the top m walked
+rows and walks the rest, the parent one part and a forked child each
+other.  A part whose child fails is walked in the parent, and the parts
+sum to the same integer however many there are, so only the wall time
+depends on the CPUs.  The permanental polynomial is the permanent of
+N - 2^k*I, expanded row by row over column subsets in a list of 2^n
+slots, with its coefficients read back as base-2^k digits, so the two
+share no kernel.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from fractions import Fraction
 from operator import lshift, mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
 
@@ -34,6 +42,12 @@ _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
 # _perm_glynn_int builds the 2^_LOW_ROWS sign states of d_2.. once and decodes
 # them all at every step of its Gray-code walk over the rows above them
 _LOW_ROWS = 8
+# from this n on, _perm_glynn_int splits its walk across CPUs; below it a
+# fork costs more than the share of the walk it takes over
+_SPLIT_MIN_N = 15
+# POSIX's SIGKILL, named here because importing the signal module costs
+# about 1 ms at start-up
+_SIGKILL = 9
 
 
 class Polynomial:
@@ -157,6 +171,105 @@ class Polynomial:
         return text
 
 
+def _split_bits(n: int) -> int:
+    """log2 of the number of parts an n x n Glynn walk is split into: the
+    largest power of two at most the CPUs this process may use, or one part
+    when n is below _SPLIT_MIN_N, os.fork is missing or another thread is
+    alive (forking a threaded process can deadlock the child)."""
+    if n < _SPLIT_MIN_N or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus.bit_length() - 1
+
+
+def _fork_part(
+    work: Callable[[tuple[int, int]], int], part: tuple[int, int]
+) -> tuple[int, int] | None:
+    """Start work(part) in a forked child: the pid and the read end of the
+    pipe it writes its result to, or None when no child could be made.
+
+    The child writes an 8-byte length and then the int as signed
+    little-endian bytes, never as decimal text, which Python's int-to-text
+    digit limit could refuse.  It leaves by os._exit in any case, so it never
+    flushes stdio buffers it shares with the parent or returns into the
+    caller, and exits 0 only once everything is written.
+    """
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # pragma: no cover - the child
+        code = 1
+        try:
+            os.close(read_end)
+            value = work(part)
+            payload = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+            data = memoryview(len(payload).to_bytes(8, "little") + payload)
+            while data:
+                data = data[os.write(write_end, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _sum_parts(
+    work: Callable[[tuple[int, int]], int], parts: Sequence[tuple[int, int]]
+) -> int:
+    """sum(map(work, parts)), with the first part run here and every other
+    part in a forked child, all at once.
+
+    Every child is reaped before this returns or raises, and killed first
+    when this is interrupted before all results are in.  A part whose child
+    could not be forked, exited nonzero or wrote short is run here, so the
+    sum never depends on how many children ran.
+    """
+    children = []  # (pid, read end, part) of every forked child
+    here = [parts[0]]
+    finished = False
+    try:
+        for part in parts[1:]:
+            child = _fork_part(work, part)
+            if child is None:
+                here.append(part)
+            else:
+                children.append((*child, part))
+        total = sum(map(work, here))
+        results = []
+        for _, read_end, _ in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                results.append(pipe.read())
+        finished = True
+    finally:
+        for pid, read_end, _ in children:
+            os.close(read_end)
+            if not finished:
+                os.kill(pid, _SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+    for (_, _, part), data, status in zip(children, results, statuses):
+        value = _child_result(data, status)
+        total += work(part) if value is None else value
+    return total
+
+
+def _child_result(data: bytes, status: int) -> int | None:
+    """The int a _fork_part child sent as `data`, or None when its wait
+    status is not a clean exit or the bytes fall short of their length."""
+    if status != 0 or len(data) < 8 or int.from_bytes(data[:8], "little") != len(data) - 8:
+        return None
+    return int.from_bytes(data[8:], "little", signed=True)
+
+
 def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     """Permanent by Glynn's formula over the admissible sign vectors:
 
@@ -178,6 +291,13 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     -+2*row_k to both blocks per step and decodes each block with one
     to_bytes and one unpack, 2^(k-1) terms at a time.  Each step flips one
     d, so the two blocks trade parities at every step.
+
+    Fixing the d of the top m high rows, m = _split_bits(n) or fewer when
+    there are fewer high rows, splits the walk into 2^m parts of one Gray
+    walk each over the rows below them.  A part starts from the blocks
+    with its fixed flips applied, so an odd number of flips swaps the
+    parities.  _sum_parts runs the parts in forked children and the sum
+    is the same integer at any m.
     """
     n = len(rows)
     if n < 2:
@@ -220,21 +340,36 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     def terms(block: int) -> int:
         return sum(map(math.prod, decode((block ^ block_bias).to_bytes(nbytes, "little"))))
 
-    pos = terms(even)
-    neg = terms(odd)
-    high = packed_rows[k + 1 :]
-    # the first flip of each high d_k takes it from +1 to -1; later flips
-    # alternate
-    steps = [-2 * row * reps for row in high]
-    for t in range(1, 1 << len(high)):
-        b = (t & -t).bit_length() - 1
-        step = steps[b]
-        steps[b] = -step
-        even, odd = odd + step, even + step
-        pos += terms(even)
-        neg += terms(odd)
+    def walk(even: int, odd: int, steps: list[int]) -> int:
+        # Gray-code walk over the rows of `steps`: the first flip of each d
+        # takes it from +1 to -1, later flips alternate
+        pos = terms(even)
+        neg = terms(odd)
+        for t in range(1, 1 << len(steps)):
+            b = (t & -t).bit_length() - 1
+            step = steps[b]
+            steps[b] = -step
+            even, odd = odd + step, even + step
+            pos += terms(even)
+            neg += terms(odd)
+        return pos - neg
+
     # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
-    return (pos - neg) >> (n - 1)
+    steps = [-2 * row * reps for row in packed_rows[k + 1 :]]
+    m = min(_split_bits(n), len(steps))
+    if not m:
+        return walk(even, odd, steps) >> (n - 1)
+    # part p fixes the d of the top m high rows, -1 where p has a 1 bit, and
+    # walks the rest: its start applies those flips, each swapping parities
+    free = len(steps) - m
+    starts = []
+    for p in range(1 << m):
+        start_even, start_odd = even, odd
+        for j, step in enumerate(steps[free:]):
+            if p >> j & 1:
+                start_even, start_odd = start_odd + step, start_even + step
+        starts.append((start_even, start_odd))
+    return _sum_parts(lambda start: walk(*start, steps[:free]), starts) >> (n - 1)
 
 
 def _perm_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -378,7 +513,15 @@ def determinant(a: Matrix) -> Fraction:
 
 
 def permanent(a: Matrix) -> Fraction:
-    """Exact permanent by Glynn's formula: a sum of 2^(n-1) terms."""
+    """Exact permanent by Glynn's formula: a sum of 2^(n-1) terms.
+
+    From n = 15 on, the terms are split into as many parts as the largest
+    power of two at most the CPUs this process may use, each other part
+    summed in a forked child that is reaped before this returns or
+    raises.  The result does not depend on the number of parts; the wall
+    time divides by it, the CPU time does not.  One part is used when
+    os.fork is missing or another thread is alive.
+    """
     a.require_square("permanent")
     return Fraction(_perm_glynn_int(a.nums), a.den ** a.rows)
 

@@ -1,8 +1,16 @@
 """Invariant computations against brute-force oracles and invariance laws."""
 
+import contextlib
+import errno
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -697,3 +705,211 @@ def test_permanent_kernel_high_walk_matches_ryser(rows):
     # reach the Gray walk over the rows above it, and the entry bounds
     # reach every field width
     assert _perm_glynn_int(rows) == ryser_permanent(rows)
+
+
+# The split Glynn walk: parts of the Gray walk run in forked children.
+# These tests lower the split threshold to n = 2 and set the CPU count, so
+# every walk with rows above the decoded block (n >= 10) is split.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@contextlib.contextmanager
+def _forced_split(cpus):
+    """Split Glynn walks as on a machine with `cpus` CPUs; yields the
+    MonkeyPatch in force and the list of pids forked."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_SPLIT_MIN_N", 2)
+        mp.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
+        mp.setattr(os, "fork", counting_fork)
+        yield mp, forks
+
+
+def _assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    """The process's open file descriptors, where /proc lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+_SPLIT_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(11)] for i in range(11)]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 11).flatmap(
+        lambda n: st.lists(
+            st.lists(_int_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_split_walk_matches_ryser(cpus, rows):
+    # rows above the decoded block start at n = 10, so n = 10 has one, fewer
+    # than the two split bits of 4 CPUs
+    fds = _open_fds()
+    with _forced_split(cpus) as (_, forks):
+        assert _perm_glynn_int(rows) == ryser_permanent(rows)
+    _assert_all_reaped()
+    assert _open_fds() == fds
+    high = max(len(rows) - 1 - invariants._LOW_ROWS, 0)
+    assert len(forks) == 2 ** min(cpus.bit_length() - 1, high) - 1
+
+
+@needs_fork
+def test_split_runs_each_part_here_when_fork_fails():
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    with _forced_split(4) as (mp, _):
+        mp.setattr(os, "fork", failing_fork)
+        assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
+    _assert_all_reaped()
+
+
+@needs_fork
+def test_split_reruns_the_part_of_a_child_that_exits_1_before_writing():
+    with _forced_split(4) as (mp, forks):
+        mp.setattr(os, "write", lambda fd, data: os._exit(1))
+        assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
+    assert len(forks) == 3
+    _assert_all_reaped()
+
+
+@needs_fork
+def test_split_reruns_the_part_of_a_child_that_writes_short():
+    write = os.write
+
+    def short_write(fd, data):
+        # all but the last byte, past the 8-byte length
+        write(fd, bytes(data[:-1]))
+        return len(data)
+
+    with _forced_split(2) as (mp, forks):
+        mp.setattr(os, "write", short_write)
+        assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
+    assert len(forks) == 1
+    _assert_all_reaped()
+
+
+@needs_fork
+def test_split_interrupt_propagates_and_leaves_no_child():
+    parent = os.getpid()
+    prod = math.prod
+    slept = []
+
+    def interrupted_prod(fields):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        if not slept:
+            # the child is still at work when the parent is interrupted
+            slept.append(True)
+            time.sleep(10)
+        return prod(fields)
+
+    with _forced_split(2) as (mp, forks):
+        mp.setattr(math, "prod", interrupted_prod)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _perm_glynn_int(_SPLIT_ROWS)
+        elapsed = time.monotonic() - start
+    assert len(forks) == 1
+    _assert_all_reaped()
+    # a parent that waited for the child instead of killing it takes 10 s
+    assert elapsed < 5
+
+
+@needs_fork
+def test_split_never_forks_with_a_second_thread_alive():
+    # forking a process with threads can deadlock the child, and Python
+    # 3.12+ warns when it happens
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with _forced_split(2) as (mp, _):
+            mp.setattr(os, "fork", lambda: pytest.fail("forked with a second thread alive"))
+            assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+
+
+_BUFFERED_MARKER_SCRIPT = """
+import os
+from signconj import invariants
+
+invariants._SPLIT_MIN_N = 2
+os.sched_getaffinity = lambda pid: range(2)
+fork = os.fork
+forks = []
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counting_fork
+print("marker")
+print(invariants._perm_glynn_int([[1] * 10] * 10), len(forks))
+"""
+
+
+@needs_fork
+def test_split_children_never_flush_the_parents_stdout():
+    # stdout on a pipe is block-buffered, so "marker" is still in the buffer
+    # when the child forks; a child that left by sys.exit or by returning
+    # would print it again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(invariants.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _BUFFERED_MARKER_SCRIPT],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == f"marker\n{math.factorial(10)} 1\n".encode()
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_split_sends_part_sums_past_the_digit_limit():
+    # the part sums have more than 4300 decimal digits, which a child could
+    # not send as text; patching the fallback shows every child's sum arrived
+    rng = random.Random(33)
+    rows = [[rng.randrange(10**499, 10**500) for _ in range(10)] for _ in range(10)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with _forced_split(2) as (mp, forks):
+            child_result = invariants._child_result
+
+            def without_fallback(data, status):
+                value = child_result(data, status)
+                assert value is not None, "a child's part was run in the parent"
+                return value
+
+            mp.setattr(invariants, "_child_result", without_fallback)
+            value = _perm_glynn_int(rows)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(forks) == 1
+    _assert_all_reaped()
+    assert value > 10**4400
+    assert value == ryser_permanent(rows)
