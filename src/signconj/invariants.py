@@ -10,11 +10,12 @@ sign vectors d with d_1 = +1: the column sums of the states of d_2..d_9
 are packed as records of two ints, and each step of a Gray-code walk
 over d_10..d_n decodes those 2^8 terms at once.  From n = 15 on, the
 walk is split into 2^m parts, 2^m the largest power of two at most the
-CPUs the process may use: each part fixes the signs of the top m walked
-rows and walks the rest, the parent one part and a forked child each
-other.  A part whose child fails is walked in the parent, and the parts
-sum to the same integer however many there are, so only the wall time
-depends on the CPUs.  The permanental polynomial is the permanent of
+CPUs the process may use and small enough that each part keeps at least
+16 steps of the walk per part: each part fixes the signs of the top m
+walked rows and walks the rest, the parent one part and a forked child
+each other.  A part whose child fails is walked in the parent, and the
+parts sum to the same integer however many there are, so only the wall
+time depends on the CPUs.  The permanental polynomial is the permanent of
 N - 2^k*I, expanded row by row over column subsets in a list of 2^n
 slots, with its coefficients read back as base-2^k digits, so the two
 share no kernel.
@@ -42,9 +43,13 @@ _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
 # _perm_glynn_int builds the 2^_LOW_ROWS sign states of d_2.. once and decodes
 # them all at every step of its Gray-code walk over the rows above them
 _LOW_ROWS = 8
-# from this n on, _perm_glynn_int splits its walk across CPUs; below it a
-# fork costs more than the share of the walk it takes over
-_SPLIT_MIN_N = 15
+# _perm_glynn_int splits its Gray walk into 2^m parts only while each part
+# walks at least 2^_SPLIT_MIN_STEPS steps per part.  The parent forks the
+# children one after another, so the forks' share of the wall time grows
+# with the parts while each part's walk shrinks; 2 parts of 2^5 steps (at
+# n = 15) were measured faster than one walk, 2 parts of 2^4 (n = 14) not
+# in every run
+_SPLIT_MIN_STEPS = 4
 # POSIX's SIGKILL, named here because importing the signal module costs
 # about 1 ms at start-up
 _SIGKILL = 9
@@ -171,18 +176,18 @@ class Polynomial:
         return text
 
 
-def _split_bits(n: int) -> int:
-    """log2 of the number of parts an n x n Glynn walk is split into: the
-    largest power of two at most the CPUs this process may use, or one part
-    when n is below _SPLIT_MIN_N, os.fork is missing or another thread is
+def _split_bits(most: int) -> int:
+    """log2 of the number of parts a Glynn walk is split into: the largest
+    power of two at most the CPUs this process may use, but at most 2^most,
+    or one part when most < 1, os.fork is missing or another thread is
     alive (forking a threaded process can deadlock the child)."""
-    if n < _SPLIT_MIN_N or not hasattr(os, "fork") or threading.active_count() > 1:
+    if most < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return cpus.bit_length() - 1
+    return min(cpus.bit_length() - 1, most)
 
 
 def _fork_part(
@@ -254,12 +259,25 @@ def _sum_parts(
         for pid, read_end, _ in children:
             os.close(read_end)
             if not finished:
-                os.kill(pid, _SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+                try:
+                    os.kill(pid, _SIGKILL)
+                except ProcessLookupError:  # reaped already, see _reap
+                    pass
+        statuses = [_reap(pid) for pid, _, _ in children]
     for (_, _, part), data, status in zip(children, results, statuses):
         value = _child_result(data, status)
         total += work(part) if value is None else value
     return total
+
+
+def _reap(pid: int) -> int:
+    """The wait status of child `pid` once it has exited, or 1 when the
+    system reaped it already, as it does while SIGCHLD is ignored; the
+    child's part is then walked in the parent."""
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return 1
 
 
 def _child_result(data: bytes, status: int) -> int | None:
@@ -292,12 +310,13 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     to_bytes and one unpack, 2^(k-1) terms at a time.  Each step flips one
     d, so the two blocks trade parities at every step.
 
-    Fixing the d of the top m high rows, m = _split_bits(n) or fewer when
-    there are fewer high rows, splits the walk into 2^m parts of one Gray
-    walk each over the rows below them.  A part starts from the blocks
-    with its fixed flips applied, so an odd number of flips swaps the
-    parities.  _sum_parts runs the parts in forked children and the sum
-    is the same integer at any m.
+    Fixing the d of the top m of the s high rows splits the walk into 2^m
+    parts of one Gray walk each over the rows below them, with 2^m at most
+    the CPUs and m at most (s - _SPLIT_MIN_STEPS) / 2, so that a part's
+    2^(s-m) steps are at least 2^_SPLIT_MIN_STEPS per part.  A part starts
+    from the blocks with its fixed flips applied, so an odd number of
+    flips swaps the parities.  _sum_parts runs the parts in forked
+    children and the sum is the same integer at any m.
     """
     n = len(rows)
     if n < 2:
@@ -354,11 +373,8 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
             neg += terms(odd)
         return pos - neg
 
-    # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
     steps = [-2 * row * reps for row in packed_rows[k + 1 :]]
-    m = min(_split_bits(n), len(steps))
-    if not m:
-        return walk(even, odd, steps) >> (n - 1)
+    m = _split_bits((len(steps) - _SPLIT_MIN_STEPS) // 2)
     # part p fixes the d of the top m high rows, -1 where p has a 1 bit, and
     # walks the rest: its start applies those flips, each swapping parities
     free = len(steps) - m
@@ -369,6 +385,7 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
             if p >> j & 1:
                 start_even, start_odd = start_odd + step, start_even + step
         starts.append((start_even, start_odd))
+    # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
     return _sum_parts(lambda start: walk(*start, steps[:free]), starts) >> (n - 1)
 
 
@@ -516,9 +533,10 @@ def permanent(a: Matrix) -> Fraction:
     """Exact permanent by Glynn's formula: a sum of 2^(n-1) terms.
 
     From n = 15 on, the terms are split into as many parts as the largest
-    power of two at most the CPUs this process may use, each other part
-    summed in a forked child that is reaped before this returns or
-    raises.  The result does not depend on the number of parts; the wall
+    power of two at most the CPUs this process may use, but no more than
+    leave each part 2^12 terms per part (2 parts up to n = 16, 4 up to
+    18, 8 up to 20), each other part summed in a forked child that is
+    reaped before this returns or raises.  The result does not depend on the number of parts; the wall
     time divides by it, the CPU time does not.  One part is used when
     os.fork is missing or another thread is alive.
     """

@@ -5,6 +5,7 @@ import errno
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -708,16 +709,24 @@ def test_permanent_kernel_high_walk_matches_ryser(rows):
 
 
 # The split Glynn walk: parts of the Gray walk run in forked children.
-# These tests lower the split threshold to n = 2 and set the CPU count, so
-# every walk with rows above the decoded block (n >= 10) is split.
+# Most of these tests shrink the decoded block to d_2..d_3 and drop the
+# minimum steps per part, so walks from n = 5 on are split, and set the
+# CPU count.
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+def split_test(test):
+    """Mark a split-walk test: skipped without os.fork, and failing on a
+    DeprecationWarning, which Python 3.12+ issues when a process with
+    threads forks."""
+    needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    return needs_fork(pytest.mark.filterwarnings("error::DeprecationWarning")(test))
 
 
 @contextlib.contextmanager
-def _forced_split(cpus):
-    """Split Glynn walks as on a machine with `cpus` CPUs; yields the
-    MonkeyPatch in force and the list of pids forked."""
+def _forced_split(cpus, force=True):
+    """Split Glynn walks as on a machine with `cpus` CPUs, at every n with
+    two or more rows above a 2-row decoded block unless `force` is false;
+    yields the MonkeyPatch in force and the list of pids forked."""
     forks = []
     fork = os.fork
 
@@ -728,7 +737,9 @@ def _forced_split(cpus):
         return pid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariants, "_SPLIT_MIN_N", 2)
+        if force:
+            mp.setattr(invariants, "_LOW_ROWS", 2)
+            mp.setattr(invariants, "_SPLIT_MIN_STEPS", 0)
         mp.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
         mp.setattr(os, "fork", counting_fork)
         yield mp, forks
@@ -747,7 +758,7 @@ def _open_fds():
 _SPLIT_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(11)] for i in range(11)]
 
 
-@needs_fork
+@split_test
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @settings(max_examples=30, deadline=None)
 @given(
@@ -758,18 +769,47 @@ _SPLIT_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(11)] for i in range(11)]
     )
 )
 def test_split_walk_matches_ryser(cpus, rows):
-    # rows above the decoded block start at n = 10, so n = 10 has one, fewer
-    # than the two split bits of 4 CPUs
+    # n = 4 walks one row above the decoded block, too few to split, and
+    # n = 5 to 6 walk two or three, too few for the two split bits of 4 CPUs
     fds = _open_fds()
     with _forced_split(cpus) as (_, forks):
         assert _perm_glynn_int(rows) == ryser_permanent(rows)
     _assert_all_reaped()
     assert _open_fds() == fds
-    high = max(len(rows) - 1 - invariants._LOW_ROWS, 0)
-    assert len(forks) == 2 ** min(cpus.bit_length() - 1, high) - 1
+    high = max(len(rows) - 3, 0)
+    assert len(forks) == 2 ** min(cpus.bit_length() - 1, high // 2) - 1
 
 
-@needs_fork
+@split_test
+@pytest.mark.parametrize("n, parts", [(14, 1), (15, 2), (17, 4)])
+def test_split_parts_keep_their_share_of_the_walk(n, parts):
+    # on 64 CPUs, a walk is still split only as far as each part keeps at
+    # least 2^_SPLIT_MIN_STEPS steps per part: the forks run one after
+    # another, so 63 children at n = 15 would each walk one step
+    rows = [[(i * 5 + j * 3) % 7 - 3 for j in range(n)] for i in range(n)]
+    with _forced_split(64, force=False) as (_, forks):
+        value = _perm_glynn_int(rows)
+    assert len(forks) == parts - 1
+    _assert_all_reaped()
+    with _forced_split(1, force=False):
+        assert value == _perm_glynn_int(rows)
+
+
+@split_test
+def test_split_sums_right_while_sigchld_is_ignored():
+    # the system then reaps the children itself and waitpid finds none, so
+    # their parts are walked in the parent
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with _forced_split(4) as (_, forks):
+            assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 3
+    _assert_all_reaped()
+
+
+@split_test
 def test_split_runs_each_part_here_when_fork_fails():
     def failing_fork():
         raise OSError(errno.EAGAIN, "fork refused")
@@ -780,7 +820,7 @@ def test_split_runs_each_part_here_when_fork_fails():
     _assert_all_reaped()
 
 
-@needs_fork
+@split_test
 def test_split_reruns_the_part_of_a_child_that_exits_1_before_writing():
     with _forced_split(4) as (mp, forks):
         mp.setattr(os, "write", lambda fd, data: os._exit(1))
@@ -789,7 +829,7 @@ def test_split_reruns_the_part_of_a_child_that_exits_1_before_writing():
     _assert_all_reaped()
 
 
-@needs_fork
+@split_test
 def test_split_reruns_the_part_of_a_child_that_writes_short():
     write = os.write
 
@@ -805,7 +845,32 @@ def test_split_reruns_the_part_of_a_child_that_writes_short():
     _assert_all_reaped()
 
 
-@needs_fork
+@split_test
+def test_split_interrupt_propagates_while_sigchld_is_ignored():
+    # the child has exited and been reaped when the parent is interrupted,
+    # so killing it finds no process
+    parent = os.getpid()
+    prod = math.prod
+
+    def interrupted_prod(fields):
+        if os.getpid() == parent:
+            time.sleep(1)
+            raise KeyboardInterrupt
+        return prod(fields)
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with _forced_split(2) as (mp, forks):
+            mp.setattr(math, "prod", interrupted_prod)
+            with pytest.raises(KeyboardInterrupt):
+                _perm_glynn_int(_SPLIT_ROWS)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1
+    _assert_all_reaped()
+
+
+@split_test
 def test_split_interrupt_propagates_and_leaves_no_child():
     parent = os.getpid()
     prod = math.prod
@@ -832,7 +897,7 @@ def test_split_interrupt_propagates_and_leaves_no_child():
     assert elapsed < 5
 
 
-@needs_fork
+@split_test
 def test_split_never_forks_with_a_second_thread_alive():
     # forking a process with threads can deadlock the child, and Python
     # 3.12+ warns when it happens
@@ -853,7 +918,8 @@ _BUFFERED_MARKER_SCRIPT = """
 import os
 from signconj import invariants
 
-invariants._SPLIT_MIN_N = 2
+invariants._LOW_ROWS = 2
+invariants._SPLIT_MIN_STEPS = 0
 os.sched_getaffinity = lambda pid: range(2)
 fork = os.fork
 forks = []
@@ -870,7 +936,7 @@ print(invariants._perm_glynn_int([[1] * 10] * 10), len(forks))
 """
 
 
-@needs_fork
+@split_test
 def test_split_children_never_flush_the_parents_stdout():
     # stdout on a pipe is block-buffered, so "marker" is still in the buffer
     # when the child forks; a child that left by sys.exit or by returning
@@ -878,7 +944,7 @@ def test_split_children_never_flush_the_parents_stdout():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(invariants.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _BUFFERED_MARKER_SCRIPT],
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", _BUFFERED_MARKER_SCRIPT],
         env=env,
         capture_output=True,
         timeout=60,
@@ -887,7 +953,7 @@ def test_split_children_never_flush_the_parents_stdout():
     assert done.stdout == f"marker\n{math.factorial(10)} 1\n".encode()
 
 
-@needs_fork
+@split_test
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
 def test_split_sends_part_sums_past_the_digit_limit():
     # the part sums have more than 4300 decimal digits, which a child could
