@@ -256,12 +256,16 @@ def _cmd_invariants(args) -> int:
         "char_poly": _poly_json(invariants.char_poly(a)),
     }
     omitted = {}
+    # perm(A) is perm_poly's constant coefficient, so the walk runs only
+    # above the permanental-polynomial cap
+    poly = invariants.perm_poly(a) if a.rows <= args.permpoly_cap else None
     if a.rows <= args.perm_cap:
-        results["permanent"] = str(invariants.permanent(a))
+        perm = invariants.permanent(a) if poly is None else poly.coefficient(0)
+        results["permanent"] = str(perm)
     else:
         omitted["permanent"] = f"n={a.rows} exceeds --perm-cap {args.perm_cap}"
-    if a.rows <= args.permpoly_cap:
-        results["perm_poly"] = _poly_json(invariants.perm_poly(a))
+    if poly is not None:
+        results["perm_poly"] = _poly_json(poly)
     else:
         omitted["perm_poly"] = f"n={a.rows} exceeds --permpoly-cap {args.permpoly_cap}"
     report = {"command": "invariants", "inputs": _inputs_block(args, a), "results": results}

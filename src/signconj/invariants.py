@@ -15,21 +15,24 @@ CPUs the process may use and small enough that each part keeps at least
 walked rows and walks the rest, the parent one part and a forked child
 each other.  A part whose child fails is walked in the parent, and the
 parts sum to the same integer however many there are, so only the wall
-time depends on the CPUs.  The permanental polynomial is the permanent of
-N - 2^k*I, expanded row by row over column subsets in a list of 2^n
-slots, with its coefficients read back as base-2^k digits, so the two
-share no kernel.
+time depends on the CPUs.  `_map_parts` runs the parts; `verify_matrix`
+runs its parts of the sign vectors through it too, and while it runs a
+split nested in a part runs as one part.  The permanental polynomial is
+the permanent of N - 2^k*I, expanded row by row over column subsets in
+a list of 2^n slots, with its coefficients read back as base-2^k
+digits, so the two share no kernel.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import struct
 import threading
 from fractions import Fraction
 from operator import lshift, mul
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import Matrix, ScalarLike, as_scalar
 
@@ -53,6 +56,9 @@ _SPLIT_MIN_STEPS = 4
 # POSIX's SIGKILL, named here because importing the signal module costs
 # about 1 ms at start-up
 _SIGKILL = 9
+# true while a _map_parts call runs, in its caller and in the children it
+# forks, so that a split nested in a part runs as one part
+_in_parts = False
 
 
 class Polynomial:
@@ -177,11 +183,12 @@ class Polynomial:
 
 
 def _split_bits(most: int) -> int:
-    """log2 of the number of parts a Glynn walk is split into: the largest
-    power of two at most the CPUs this process may use, but at most 2^most,
-    or one part when most < 1, os.fork is missing or another thread is
-    alive (forking a threaded process can deadlock the child)."""
-    if most < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    """log2 of the number of parts work is split into: the largest power of
+    two at most the CPUs this process may use, but at most 2^most, or one
+    part when most < 1, a _map_parts call is running, os.fork is missing or
+    another thread is alive (forking a threaded process can deadlock the
+    child)."""
+    if most < 1 or _in_parts or not hasattr(os, "fork") or threading.active_count() > 1:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -190,17 +197,16 @@ def _split_bits(most: int) -> int:
     return min(cpus.bit_length() - 1, most)
 
 
-def _fork_part(
-    work: Callable[[tuple[int, int]], int], part: tuple[int, int]
-) -> tuple[int, int] | None:
+def _fork_part(work: Callable[[Any], Any], part: Any) -> tuple[int, int] | None:
     """Start work(part) in a forked child: the pid and the read end of the
     pipe it writes its result to, or None when no child could be made.
 
-    The child writes an 8-byte length and then the int as signed
-    little-endian bytes, never as decimal text, which Python's int-to-text
-    digit limit could refuse.  It leaves by os._exit in any case, so it never
-    flushes stdio buffers it shares with the parent or returns into the
-    caller, and exits 0 only once everything is written.
+    The child writes an 8-byte length and then the result in marshal's
+    binary format, which holds ints of any size without the decimal text
+    that Python's int-to-text digit limit could refuse.  It leaves by
+    os._exit in any case, so it never flushes stdio buffers it shares with
+    the parent or returns into the caller, and exits 0 only once everything
+    is written.
     """
     try:
         read_end, write_end = os.pipe()
@@ -216,8 +222,7 @@ def _fork_part(
         code = 1
         try:
             os.close(read_end)
-            value = work(part)
-            payload = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+            payload = marshal.dumps(work(part))
             data = memoryview(len(payload).to_bytes(8, "little") + payload)
             while data:
                 data = data[os.write(write_end, data) :]
@@ -228,64 +233,67 @@ def _fork_part(
     return pid, read_end
 
 
-def _sum_parts(
-    work: Callable[[tuple[int, int]], int], parts: Sequence[tuple[int, int]]
-) -> int:
-    """sum(map(work, parts)), with the first part run here and every other
-    part in a forked child, all at once.
+def _map_parts(work: Callable[[Any], Any], parts: Sequence[Any]) -> list:
+    """[work(part) for part in parts], with the first part run here and every
+    other part in a forked child, all at once.
 
-    Every child is reaped before this returns or raises, and killed first
-    when this is interrupted before all results are in.  A part whose child
-    could not be forked, exited nonzero or wrote short is run here, so the
-    sum never depends on how many children ran.
+    Each result must be a value marshal can write other than None, which
+    stands for a failed child.  Every child is reaped before this returns or
+    raises, and killed first when this is interrupted before all results are
+    in.  A part whose child could not be forked, exited nonzero or wrote
+    short is run here, so the results never depend on how many children
+    ran.  Until this returns, _split_bits gives one part, here and in every
+    child, so work nested in a part never forks.
     """
-    children = []  # (pid, read end, part) of every forked child
-    here = [parts[0]]
-    finished = False
+    global _in_parts
+    outer, _in_parts = _in_parts, True
     try:
-        for part in parts[1:]:
-            child = _fork_part(work, part)
-            if child is None:
-                here.append(part)
-            else:
-                children.append((*child, part))
-        total = sum(map(work, here))
-        results = []
-        for _, read_end, _ in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                results.append(pipe.read())
-        finished = True
+        children = {}  # index of a part: (pid, read end) of its child
+        finished = False
+        try:
+            for index in range(1, len(parts)):
+                child = _fork_part(work, parts[index])
+                if child is not None:
+                    children[index] = child
+            results = [None if i in children else work(part) for i, part in enumerate(parts)]
+            sent = {}
+            for index, (_, read_end) in children.items():
+                with open(read_end, "rb", closefd=False) as pipe:
+                    sent[index] = pipe.read()
+            finished = True
+        finally:
+            for pid, read_end in children.values():
+                os.close(read_end)
+                if not finished:
+                    try:
+                        os.kill(pid, _SIGKILL)
+                    except ProcessLookupError:  # reaped already, see _reap
+                        pass
+            statuses = {index: _reap(pid) for index, (pid, _) in children.items()}
+        for index in children:
+            value = _child_result(sent[index], statuses[index])
+            results[index] = work(parts[index]) if value is None else value
+        return results
     finally:
-        for pid, read_end, _ in children:
-            os.close(read_end)
-            if not finished:
-                try:
-                    os.kill(pid, _SIGKILL)
-                except ProcessLookupError:  # reaped already, see _reap
-                    pass
-        statuses = [_reap(pid) for pid, _, _ in children]
-    for (_, _, part), data, status in zip(children, results, statuses):
-        value = _child_result(data, status)
-        total += work(part) if value is None else value
-    return total
+        _in_parts = outer
 
 
 def _reap(pid: int) -> int:
     """The wait status of child `pid` once it has exited, or 1 when the
     system reaped it already, as it does while SIGCHLD is ignored; the
-    child's part is then walked in the parent."""
+    child's part is then run in the parent."""
     try:
         return os.waitpid(pid, 0)[1]
     except ChildProcessError:
         return 1
 
 
-def _child_result(data: bytes, status: int) -> int | None:
-    """The int a _fork_part child sent as `data`, or None when its wait
+def _child_result(data: bytes, status: int) -> Any:
+    """The result a _fork_part child sent as `data`, or None when its wait
     status is not a clean exit or the bytes fall short of their length."""
     if status != 0 or len(data) < 8 or int.from_bytes(data[:8], "little") != len(data) - 8:
         return None
-    return int.from_bytes(data[8:], "little", signed=True)
+    return marshal.loads(data[8:])
 
 
 def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
@@ -315,7 +323,7 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     the CPUs and m at most (s - _SPLIT_MIN_STEPS) / 2, so that a part's
     2^(s-m) steps are at least 2^_SPLIT_MIN_STEPS per part.  A part starts
     from the blocks with its fixed flips applied, so an odd number of
-    flips swaps the parities.  _sum_parts runs the parts in forked
+    flips swaps the parities.  _map_parts runs the parts in forked
     children and the sum is the same integer at any m.
     """
     n = len(rows)
@@ -386,7 +394,7 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
                 start_even, start_odd = start_odd + step, start_even + step
         starts.append((start_even, start_odd))
     # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
-    return _sum_parts(lambda start: walk(*start, steps[:free]), starts) >> (n - 1)
+    return sum(_map_parts(lambda start: walk(*start, steps[:free]), starts)) >> (n - 1)
 
 
 def _perm_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -534,11 +542,12 @@ def permanent(a: Matrix) -> Fraction:
 
     From n = 15 on, the terms are split into as many parts as the largest
     power of two at most the CPUs this process may use, but no more than
-    leave each part 2^12 terms per part (2 parts up to n = 16, 4 up to
-    18, 8 up to 20), each other part summed in a forked child that is
-    reaped before this returns or raises.  The result does not depend on the number of parts; the wall
-    time divides by it, the CPU time does not.  One part is used when
-    os.fork is missing or another thread is alive.
+    leave each part 2^12 terms (2 parts up to n = 16, 4 up to 18, 8 up
+    to 20).  Each part but the first is summed in a forked child that is
+    reaped before this returns or raises.  The result does not depend on
+    the number of parts; the wall time divides by it, the CPU time does
+    not.  One part is used when os.fork is missing, another thread is
+    alive or this runs inside a part of a split.
     """
     a.require_square("permanent")
     return Fraction(_perm_glynn_int(a.nums), a.den ** a.rows)

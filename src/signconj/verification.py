@@ -6,6 +6,14 @@ seeded random sample for larger matrices.  Every outcome carries both
 sides of the asserted equality so a failure is diagnosable from the
 report alone.
 
+Each vector's checks stand alone, so `verify_matrix` splits the vectors
+into contiguous parts, as many as the largest power of two at most the
+CPUs the process may use that leaves each part at least
+_SPLIT_MIN_VECTORS vectors, and checks every part but the first in a
+forked child (`invariants._map_parts`).  The parts' outcomes merge in
+order into the report one walk over all the vectors gives, byte for
+byte; the checks on A alone run once, in the parent.
+
 `_record_block_form` and `_factor_sides` state once how a block form is
 checked; `verify_matrix` and the `blockform` command both call them.
 """
@@ -47,6 +55,8 @@ from .invariants import (
     DEFAULT_PERM_POLY_CAP,
     DEFAULT_PERMANENT_CAP,
     Polynomial,
+    _map_parts,
+    _split_bits,
     char_poly,
     determinant,
     perm_poly,
@@ -57,6 +67,11 @@ from .invariants import (
 from .orbit import DEFAULT_ENUMERATION_CAP, orbit_size
 
 EXHAUSTIVE_MAX_N = 8
+# verify_matrix splits its sign vectors into parts of at least this many.
+# A child starts its part about 2 ms after the split begins; 2 parts
+# of 8 vectors were faster than one walk at each n measured (5 to 9), 2 of
+# 4 not at n = 10, where more of the job runs outside the vector loop
+_SPLIT_MIN_VECTORS = 8
 BlockForm = SymBlockForm | AntisymBlockForm
 
 ANTIDIAG_SIGN_NOTE = (
@@ -101,6 +116,18 @@ class CheckOutcome:
         elif not self.lhs:
             self.lhs = format_value(lhs)
             self.rhs = format_value(rhs)
+
+
+class _Checks(dict):
+    """Check outcomes by name, in the order of each name's first use.
+    Called with a name, it returns that outcome, made with `note` on first
+    use."""
+
+    def __call__(self, name: str, note: str = "") -> CheckOutcome:
+        out = self.get(name)
+        if out is None:
+            out = self[name] = CheckOutcome(name=name, note=note)
+        return out
 
 
 @dataclass(frozen=True)
@@ -257,13 +284,6 @@ def verify_matrix(
     minor_sums = _principal_sums(_interpolate_shifts(a, determinant), n)
     perm_sums = _principal_sums(_interpolate_shifts(a, permanent), n) if do_permpoly else None
 
-    checks: dict[str, CheckOutcome] = {}
-
-    def check(name: str, note: str = "") -> CheckOutcome:
-        if name not in checks:
-            checks[name] = CheckOutcome(name=name, note=note)
-        return checks[name]
-
     identity = Matrix.identity(n)
     transpose = a.transpose()
     product = a @ transpose
@@ -272,83 +292,103 @@ def verify_matrix(
         minor2_own = order2_minor_sum(a)
         perm2_own = order2_permanent_sum(a)
 
-    for idx, c in enumerate(vectors):
-        label = f"c={c}"
-        conj = sign_conjugate(a, c)
+    def check_span(span: tuple[int, int]) -> list[tuple]:
+        """The outcomes of the per-vector checks on vectors[start:stop], in
+        the order of each check's first use, as fields marshal can send."""
+        check = _Checks()
+        for idx in range(*span):
+            c = vectors[idx]
+            label = f"c={c}"
+            conj = sign_conjugate(a, c)
 
-        check("entrywise_matches_signature_product").record(
-            conj, conjugate_by_signature(a, c), label
-        )
-        p = signature_matrix(c)
-        check("signature_matrix_self_inverse").record(p @ p, identity, label)
-        check("diagonal_preserved").record(
-            tuple(conj[i, i] for i in range(n)),
-            tuple(a[i, i] for i in range(n)),
-            label,
-        )
-        check("involution").record(sign_conjugate(conj, c), a, label)
-
-        check("trace_invariant").record(trace(conj), base["trace"], label)
-        check("determinant_invariant").record(determinant(conj), base["det"], label)
-        check("rank_invariant").record(rank(conj), base["rank"], label)
-        char = char_poly(conj)
-        check("char_poly_invariant").record(char, base["char"], label)
-        check("minor_sum_invariant").record(_principal_sums(char, n), minor_sums, label)
-        if do_perm:
-            check("permanent_invariant").record(permanent(conj), base["perm"], label)
-        if do_permpoly:
-            ppoly = perm_poly(conj)
-            check("perm_poly_invariant").record(ppoly, base["permpoly"], label)
-            check("permanent_sum_invariant").record(_principal_sums(ppoly, n), perm_sums, label)
-
-        other = vectors[(idx + 1) % len(vectors)]
-        check("composition_matches_pointwise_product").record(
-            sign_conjugate(conj, other), sign_conjugate(a, compose(c, other)), label
-        )
-        check("multiplicative_over_product").record(
-            sign_conjugate(product, c), conj @ sign_conjugate(transpose, c), label
-        )
-
-        fixed = sym_part(a, c)
-        negated = antisym_part(a, c)
-        check("split_reconstructs").record(fixed + negated, a, label)
-        check("split_parts_fixed_and_negated").record(
-            (sign_conjugate(fixed, c), sign_conjugate(negated, c)), (fixed, -negated), label
-        )
-        half = Fraction(1, 2)
-        check("mask_matches_half_sum").record(
-            (fixed, negated), ((a + conj) * half, (a - conj) * half), label
-        )
-        r = sum(1 for s in c.signs if s == 1)
-        kept_fixed = sum(1 for i in range(n) for j in range(n) if c[i] * c[j] == 1)
-        kept_negated = n * n - kept_fixed
-        check("mask_dimensions").record((kept_fixed, kept_negated), subspace_dims(n, r), label)
-
-        if n >= 2:
-            check("minor2_additivity_sign_split").record(
-                minor2_own, order2_minor_sum(fixed) + order2_minor_sum(negated), label
+            check("entrywise_matches_signature_product").record(
+                conj, conjugate_by_signature(a, c), label
             )
-            check("permanent2_additivity_sign_split").record(
-                perm2_own, order2_permanent_sum(fixed) + order2_permanent_sum(negated), label
+            p = signature_matrix(c)
+            check("signature_matrix_self_inverse").record(p @ p, identity, label)
+            check("diagonal_preserved").record(
+                tuple(conj[i, i] for i in range(n)),
+                tuple(a[i, i] for i in range(n)),
+                label,
+            )
+            check("involution").record(sign_conjugate(conj, c), a, label)
+
+            check("trace_invariant").record(trace(conj), base["trace"], label)
+            check("determinant_invariant").record(determinant(conj), base["det"], label)
+            check("rank_invariant").record(rank(conj), base["rank"], label)
+            char = char_poly(conj)
+            check("char_poly_invariant").record(char, base["char"], label)
+            check("minor_sum_invariant").record(_principal_sums(char, n), minor_sums, label)
+            if do_perm:
+                check("permanent_invariant").record(permanent(conj), base["perm"], label)
+            if do_permpoly:
+                ppoly = perm_poly(conj)
+                check("perm_poly_invariant").record(ppoly, base["permpoly"], label)
+                check("permanent_sum_invariant").record(_principal_sums(ppoly, n), perm_sums, label)
+
+            other = vectors[(idx + 1) % len(vectors)]
+            check("composition_matches_pointwise_product").record(
+                sign_conjugate(conj, other), sign_conjugate(a, compose(c, other)), label
+            )
+            check("multiplicative_over_product").record(
+                sign_conjugate(product, c), conj @ sign_conjugate(transpose, c), label
             )
 
-        built = []
-        for name, part, sign, build, note in (
-            ("sym_part", fixed, 1, sym_block_form, ""),
-            ("antisym_part", negated, -1, antisym_block_form, ANTIDIAG_SIGN_NOTE),
-        ):
-            out = check(f"{name}_block_similarity")
-            try:
-                form = build(part, c)
-            except (NotSignSymmetricError, NotSignAntisymmetricError):
-                # the split itself is wrong at c: record what the form rejected
-                out.record(sign_conjugate(part, c), part * sign, label)
-                continue
-            _record_block_form(out, part, form, label)
-            built.append((name, part, form, note))
-        if do_permpoly:
-            for name, part, form, note in built:
-                check(f"{name}_factorizations", note=note).record(*_factor_sides(part, form), label)
+            fixed = sym_part(a, c)
+            negated = antisym_part(a, c)
+            check("split_reconstructs").record(fixed + negated, a, label)
+            check("split_parts_fixed_and_negated").record(
+                (sign_conjugate(fixed, c), sign_conjugate(negated, c)), (fixed, -negated), label
+            )
+            half = Fraction(1, 2)
+            check("mask_matches_half_sum").record(
+                (fixed, negated), ((a + conj) * half, (a - conj) * half), label
+            )
+            r = sum(1 for s in c.signs if s == 1)
+            kept_fixed = sum(1 for i in range(n) for j in range(n) if c[i] * c[j] == 1)
+            kept_negated = n * n - kept_fixed
+            check("mask_dimensions").record((kept_fixed, kept_negated), subspace_dims(n, r), label)
+
+            if n >= 2:
+                check("minor2_additivity_sign_split").record(
+                    minor2_own, order2_minor_sum(fixed) + order2_minor_sum(negated), label
+                )
+                check("permanent2_additivity_sign_split").record(
+                    perm2_own, order2_permanent_sum(fixed) + order2_permanent_sum(negated), label
+                )
+
+            built = []
+            for name, part, sign, build, note in (
+                ("sym_part", fixed, 1, sym_block_form, ""),
+                ("antisym_part", negated, -1, antisym_block_form, ANTIDIAG_SIGN_NOTE),
+            ):
+                out = check(f"{name}_block_similarity")
+                try:
+                    form = build(part, c)
+                except (NotSignSymmetricError, NotSignAntisymmetricError):
+                    # the split itself is wrong at c: record what the form rejected
+                    out.record(sign_conjugate(part, c), part * sign, label)
+                    continue
+                _record_block_form(out, part, form, label)
+                built.append((name, part, form, note))
+            if do_permpoly:
+                for name, part, form, note in built:
+                    check(f"{name}_factorizations", note=note).record(
+                        *_factor_sides(part, form), label
+                    )
+        return [(out.name, out.passed, out.lhs, out.rhs, out.note) for out in check.values()]
+
+    # each vector's checks stand alone, so contiguous spans of the vectors
+    # run in forked parts; merged in span order, a check keeps its first
+    # failure, or else its first span's sides, as the walk over all would
+    parts = 1 << _split_bits((len(vectors) // _SPLIT_MIN_VECTORS).bit_length() - 1)
+    spans = [(len(vectors) * p // parts, len(vectors) * (p + 1) // parts) for p in range(parts)]
+    check = _Checks()
+    for outcomes in _map_parts(check_span, spans):
+        for fields in outcomes:
+            seen = check.get(fields[0])
+            if seen is None or (seen.passed and not fields[1]):
+                check[fields[0]] = CheckOutcome(*fields)
 
     if n >= 2:
         classic = classic_split(a)
@@ -398,5 +438,4 @@ def verify_matrix(
     else:
         skipped.append(("orbit_enumeration", f"n={n} exceeds orbit cap {orbit_cap}"))
 
-    ordered = tuple(checks.values())
-    return VerificationReport(ordered, tuple(skipped))
+    return VerificationReport(tuple(check.values()), tuple(skipped))

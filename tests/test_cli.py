@@ -1,6 +1,7 @@
 """Command-line interface: formats, reports, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -20,11 +21,13 @@ from signconj import (
     cli,
     core,
     decomposition,
+    invariants,
     orbit,
     verification,
 )
 from signconj.cli import load_matrix, main, parse_matrix_document
-from oracles import orbit_by_matrices
+from oracles import expansion_permanent, orbit_by_matrices
+from splitting import assert_all_reaped, on_cpus, open_fds, split_test
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "signconj" / "fixtures"
 
@@ -194,6 +197,30 @@ class TestInvariants:
             "permanent": "n=5 exceeds --perm-cap 4",
             "perm_poly": "n=5 exceeds --permpoly-cap 4",
         }
+
+    @pytest.mark.parametrize("permpoly_cap, walks", [("5", 0), ("4", 1)])
+    def test_permanent_walk_runs_only_above_the_permpoly_cap(
+        self, capsys, tmp_path, monkeypatch, permpoly_cap, walks
+    ):
+        # at or under the cap the permanent is perm_poly's constant coefficient
+        calls = {"permanent": 0, "perm_poly": 0}
+        for name in calls:
+            real = getattr(invariants, name)
+
+            def spy(a, name=name, real=real):
+                calls[name] += 1
+                return real(a)
+
+            monkeypatch.setattr(invariants, name, spy)
+        rows = "\n".join(",".join(str(i * j % 7 - 3) for j in range(5)) for i in range(5))
+        path = write_matrix(tmp_path, "m.csv", rows + "\n")
+        code, out, _ = run_cli(
+            capsys, "invariants", "--matrix", path, "--permpoly-cap", permpoly_cap
+        )
+        assert code == 0
+        a = load_matrix(path, None)
+        assert json.loads(out)["results"]["permanent"] == str(expansion_permanent(a))
+        assert calls == {"permanent": walks, "perm_poly": 1 - walks}
 
 
 class TestDecompose:
@@ -570,6 +597,42 @@ report_value = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+@split_test
+@pytest.mark.parametrize("fault", ["child_exits_1", "fork_refused", "inconsistent_kernel"])
+def test_split_verify_report_survives_a_failed_part(capsys, monkeypatch, fault):
+    # a part whose child fails is checked in the parent; a kernel that
+    # raises in the last part's child raises again there, and exits 3
+    argv = ["verify", "--matrix", str(FIXTURES / "verify6.json")]
+
+    def refused_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    if fault == "inconsistent_kernel":
+        last = list(core.admissible_sign_vectors(6))[-1]
+        real = verification.sym_part
+
+        def sym_part(a, c):
+            if c == last:
+                raise InternalConsistencyError("two routes disagree")
+            return real(a, c)
+
+        monkeypatch.setattr(verification, "sym_part", sym_part)
+    with on_cpus(1):
+        expected = run_cli(capsys, *argv)
+    assert expected[0] == (3 if fault == "inconsistent_kernel" else 0)
+    fds = open_fds()
+    with on_cpus(4) as (mp, forks):
+        mp.setattr(verification, "_SPLIT_MIN_VECTORS", 1)
+        if fault == "child_exits_1":
+            mp.setattr(os, "write", lambda fd, data: os._exit(1))
+        elif fault == "fork_refused":
+            mp.setattr(os, "fork", refused_fork)
+        assert run_cli(capsys, *argv) == expected
+    assert len(forks) == (0 if fault == "fork_refused" else 3)
+    assert_all_reaped()
+    assert open_fds() == fds
 
 
 def with_text_rows(value):

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from signconj import verification
 from signconj.cli import main
+from splitting import assert_all_reaped, on_cpus, split_test
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -90,6 +92,18 @@ def assert_matches_golden(capsys, name):
 @pytest.mark.parametrize("name", CASES)
 def test_report_matches_golden(capsys, name):
     assert_matches_golden(capsys, name)
+
+
+@split_test
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("verify_")])
+def test_verify_report_matches_golden_in_any_number_of_parts(capsys, name, cpus):
+    with on_cpus(cpus) as (mp, forks):
+        mp.setattr(verification, "_SPLIT_MIN_VECTORS", 1)
+        assert_matches_golden(capsys, name)
+    # the sampled case checks one vector, so it has one part
+    assert len(forks) == (0 if name == "verify_int20_sampled" else cpus - 1)
+    assert_all_reaped()
 
 
 def test_report_after_usage_error_matches_golden(capsys):

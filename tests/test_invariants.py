@@ -52,6 +52,7 @@ from oracles import (
     sum_principal_minors,
     sum_principal_permanents,
 )
+from splitting import assert_all_reaped, on_cpus, open_fds, split_test
 
 
 def _sympy_matrix(a: Matrix):
@@ -714,45 +715,16 @@ def test_permanent_kernel_high_walk_matches_ryser(rows):
 # CPU count.
 
 
-def split_test(test):
-    """Mark a split-walk test: skipped without os.fork, and failing on a
-    DeprecationWarning, which Python 3.12+ issues when a process with
-    threads forks."""
-    needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    return needs_fork(pytest.mark.filterwarnings("error::DeprecationWarning")(test))
-
-
 @contextlib.contextmanager
 def _forced_split(cpus, force=True):
     """Split Glynn walks as on a machine with `cpus` CPUs, at every n with
     two or more rows above a 2-row decoded block unless `force` is false;
     yields the MonkeyPatch in force and the list of pids forked."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    with pytest.MonkeyPatch.context() as mp:
+    with on_cpus(cpus) as (mp, forks):
         if force:
             mp.setattr(invariants, "_LOW_ROWS", 2)
             mp.setattr(invariants, "_SPLIT_MIN_STEPS", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
-        mp.setattr(os, "fork", counting_fork)
         yield mp, forks
-
-
-def _assert_all_reaped():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _open_fds():
-    """The process's open file descriptors, where /proc lists them."""
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 _SPLIT_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(11)] for i in range(11)]
@@ -771,11 +743,11 @@ _SPLIT_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(11)] for i in range(11)]
 def test_split_walk_matches_ryser(cpus, rows):
     # n = 4 walks one row above the decoded block, too few to split, and
     # n = 5 to 6 walk two or three, too few for the two split bits of 4 CPUs
-    fds = _open_fds()
+    fds = open_fds()
     with _forced_split(cpus) as (_, forks):
         assert _perm_glynn_int(rows) == ryser_permanent(rows)
-    _assert_all_reaped()
-    assert _open_fds() == fds
+    assert_all_reaped()
+    assert open_fds() == fds
     high = max(len(rows) - 3, 0)
     assert len(forks) == 2 ** min(cpus.bit_length() - 1, high // 2) - 1
 
@@ -790,7 +762,7 @@ def test_split_parts_keep_their_share_of_the_walk(n, parts):
     with _forced_split(64, force=False) as (_, forks):
         value = _perm_glynn_int(rows)
     assert len(forks) == parts - 1
-    _assert_all_reaped()
+    assert_all_reaped()
     with _forced_split(1, force=False):
         assert value == _perm_glynn_int(rows)
 
@@ -806,7 +778,7 @@ def test_split_sums_right_while_sigchld_is_ignored():
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert len(forks) == 3
-    _assert_all_reaped()
+    assert_all_reaped()
 
 
 @split_test
@@ -817,7 +789,7 @@ def test_split_runs_each_part_here_when_fork_fails():
     with _forced_split(4) as (mp, _):
         mp.setattr(os, "fork", failing_fork)
         assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
-    _assert_all_reaped()
+    assert_all_reaped()
 
 
 @split_test
@@ -826,7 +798,7 @@ def test_split_reruns_the_part_of_a_child_that_exits_1_before_writing():
         mp.setattr(os, "write", lambda fd, data: os._exit(1))
         assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
     assert len(forks) == 3
-    _assert_all_reaped()
+    assert_all_reaped()
 
 
 @split_test
@@ -842,7 +814,7 @@ def test_split_reruns_the_part_of_a_child_that_writes_short():
         mp.setattr(os, "write", short_write)
         assert _perm_glynn_int(_SPLIT_ROWS) == ryser_permanent(_SPLIT_ROWS)
     assert len(forks) == 1
-    _assert_all_reaped()
+    assert_all_reaped()
 
 
 @split_test
@@ -867,7 +839,7 @@ def test_split_interrupt_propagates_while_sigchld_is_ignored():
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert len(forks) == 1
-    _assert_all_reaped()
+    assert_all_reaped()
 
 
 @split_test
@@ -892,7 +864,7 @@ def test_split_interrupt_propagates_and_leaves_no_child():
             _perm_glynn_int(_SPLIT_ROWS)
         elapsed = time.monotonic() - start
     assert len(forks) == 1
-    _assert_all_reaped()
+    assert_all_reaped()
     # a parent that waited for the child instead of killing it takes 10 s
     assert elapsed < 5
 
@@ -976,6 +948,6 @@ def test_split_sends_part_sums_past_the_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert len(forks) == 1
-    _assert_all_reaped()
+    assert_all_reaped()
     assert value > 10**4400
     assert value == ryser_permanent(rows)

@@ -1,6 +1,7 @@
 """Verification battery: outcome bookkeeping, caps, and edge dimensions."""
 
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from signconj import (
 )
 from signconj.verification import CheckOutcome, format_value
 from oracles import random_matrix
+from splitting import assert_all_reaped, on_cpus, split_test
 
 # two components, {1, 2} and {3}: the stabilizer is {(1,1,1), (1,1,-1)}
 EDGE_PLUS_LOOP = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
@@ -165,6 +167,8 @@ class TestSamples:
             return real(m, c)
 
         monkeypatch.setattr(verification, "conjugate_by_signature", spy)
+        # one part: a forked child's calls never reach `seen`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(1), raising=False)
         assert verify_matrix(a, **kwargs).passed
         return seen
 
@@ -289,6 +293,8 @@ class TestOneBlockFormPerVector:
             # the factor reports would find the blockform binding, verify its own
             monkeypatch.setattr(blockform, name, spy)
             monkeypatch.setattr(verification, name, spy)
+        # one part: a forked child's calls never reach `calls`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(1), raising=False)
         report = verify_matrix(random_matrix(random.Random(19), 5))
         assert report.passed
         assert calls == {"sym_block_form": 16, "antisym_block_form": 16}
@@ -395,3 +401,69 @@ class TestPrincipalSums:
         monkeypatch.setattr(invariants, kernel, perturbed)
         report = verify_matrix(self.A)
         assert check in {c.name for c in report.failures()}
+
+
+# verify_matrix runs contiguous parts of its sign vectors in forked
+# children; the report must not depend on how many parts ran.
+
+
+@split_test
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("perturbed", [(15,), (9, 15)])
+def test_split_report_keeps_the_serial_walks_first_failure(monkeypatch, cpus, perturbed):
+    # vector 15 is in the last part, and with 4 parts vector 9 is in the one
+    # before it: the first failing part's sides and note win
+    a = random_matrix(random.Random(23), 5)
+    vectors = list(admissible_sign_vectors(5))
+    wrong = {vectors[i] for i in perturbed}
+    real = verification.sym_part
+    monkeypatch.setattr(
+        verification, "sym_part", lambda m, c: real(m, c) * 2 if c in wrong else real(m, c)
+    )
+    with on_cpus(1):
+        serial = verify_matrix(a)
+    failed = serial.failures()
+    assert failed and all(c.note.endswith(f"failed at c={vectors[perturbed[0]]}") for c in failed)
+    with on_cpus(cpus) as (mp, forks):
+        mp.setattr(verification, "_SPLIT_MIN_VECTORS", 1)
+        assert verify_matrix(a) == serial
+    assert len(forks) == cpus - 1
+    assert_all_reaped()
+
+
+@split_test
+def test_split_verify_forks_only_at_the_outer_level(tmp_path):
+    # at n = 16 the permanent's walk splits on 2 CPUs, but not inside a part
+    # of the vectors, in the parent's part or in the child's
+    log = tmp_path / "forks"
+    fork = os.fork
+
+    def logging_fork():
+        with open(log, "a") as file:
+            file.write(f"{os.getpid()}\n")
+        return fork()
+
+    n = 16
+    a = Matrix([[(i * 5 + j * 3) % 7 - 3 for j in range(n)] for i in range(n)])
+    with on_cpus(2) as (mp, _):
+        mp.setattr(os, "fork", logging_fork)
+        report = verify_matrix(a, samples=16, seed=1)
+    assert report.passed
+    assert "permanent_invariant" in {c.name for c in report.checks}
+    # one fork for the permanent of A, one for the second half of the vectors
+    assert log.read_text().split() == [str(os.getpid())] * 2
+    assert_all_reaped()
+
+
+@split_test
+@pytest.mark.parametrize("n, samples, parts", [(5, None, 2), (7, None, 8), (9, 15, 1)])
+def test_split_parts_keep_their_share_of_the_vectors(n, samples, parts):
+    # on 64 CPUs, the vectors are still split only as far as each part keeps
+    # at least _SPLIT_MIN_VECTORS of them
+    a = random_matrix(random.Random(n), n)
+    with on_cpus(64) as (_, forks):
+        report = verify_matrix(a, samples=samples)
+    assert len(forks) == parts - 1
+    assert_all_reaped()
+    with on_cpus(1):
+        assert verify_matrix(a, samples=samples) == report
