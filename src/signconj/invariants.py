@@ -9,32 +9,23 @@ permanent is Glynn's formula, a signed sum over the 2^(n-1) admissible
 sign vectors d with d_1 = +1: the column sums of the states of d_2..d_9
 are packed as records of two ints, and each step of a Gray-code walk
 over d_10..d_n decodes those 2^8 terms at once.  From n = 15 on, the
-walk is split into 2^m parts, 2^m the largest power of two at most the
-CPUs the process may use and small enough that each part keeps at least
-16 steps of the walk per part: each part fixes the signs of the top m
-walked rows and walks the rest, the parent one part and a forked child
-each other.  A part whose child fails is walked in the parent, and the
-parts sum to the same integer however many there are, so only the wall
-time depends on the CPUs.  `_map_parts` runs the parts; `verify_matrix`
-runs its parts of the sign vectors through it too, and while it runs a
-split nested in a part runs as one part.  The permanental polynomial is
-the permanent of N - 2^k*I, expanded row by row over column subsets in
-a list of 2^n slots, with its coefficients read back as base-2^k
-digits, so the two share no kernel.
+walk is cut into sub-walks that `parts.map_spans` may run in forked
+children; the sum does not depend on how many run.  The permanental
+polynomial is the permanent of N - 2^k*I, expanded row by row over
+column subsets in a list of 2^n slots, with its coefficients read back
+as base-2^k digits, so the two share no kernel.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 import struct
-import threading
 from fractions import Fraction
 from operator import lshift, mul
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core import Matrix, ScalarLike, as_scalar
+from .core import Matrix, ScalarLike, _lowest_terms, as_scalar
+from .parts import map_spans
 
 # the largest n at which the commands and verify_matrix compute these by
 # default; the kernels themselves take any n
@@ -46,19 +37,13 @@ _FIELD_CODES = {16: "h", 32: "i", 64: "q"}
 # _perm_glynn_int builds the 2^_LOW_ROWS sign states of d_2.. once and decodes
 # them all at every step of its Gray-code walk over the rows above them
 _LOW_ROWS = 8
-# _perm_glynn_int splits its Gray walk into 2^m parts only while each part
-# walks at least 2^_SPLIT_MIN_STEPS steps per part.  The parent forks the
+# _perm_glynn_int cuts its Gray walk into 2^m sub-walks, m the largest that leaves
+# each at least 2^_SPLIT_MIN_STEPS steps per sub-walk.  The parent forks the
 # children one after another, so the forks' share of the wall time grows
 # with the parts while each part's walk shrinks; 2 parts of 2^5 steps (at
 # n = 15) were measured faster than one walk, 2 parts of 2^4 (n = 14) not
 # in every run
 _SPLIT_MIN_STEPS = 4
-# POSIX's SIGKILL, named here because importing the signal module costs
-# about 1 ms at start-up
-_SIGKILL = 9
-# true while a _map_parts call runs, in its caller and in the children it
-# forks, so that a split nested in a part runs as one part
-_in_parts = False
 
 
 class Polynomial:
@@ -86,14 +71,8 @@ class Polynomial:
             den *= common
         while len(nums) > 1 and nums[-1] == 0:
             nums.pop()
-        if not nums:
-            nums = [0]
-        if den != 1:
-            g = math.gcd(den, *nums)
-            if g != 1:
-                nums = [e // g for e in nums]
-                den //= g
-        object.__setattr__(self, "nums", tuple(nums))
+        (nums,), den = _lowest_terms((tuple(nums or [0]),), den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_coefficients", None)
 
@@ -182,120 +161,6 @@ class Polynomial:
         return text
 
 
-def _split_bits(most: int) -> int:
-    """log2 of the number of parts work is split into: the largest power of
-    two at most the CPUs this process may use, but at most 2^most, or one
-    part when most < 1, a _map_parts call is running, os.fork is missing or
-    another thread is alive (forking a threaded process can deadlock the
-    child)."""
-    if most < 1 or _in_parts or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus.bit_length() - 1, most)
-
-
-def _fork_part(work: Callable[[Any], Any], part: Any) -> tuple[int, int] | None:
-    """Start work(part) in a forked child: the pid and the read end of the
-    pipe it writes its result to, or None when no child could be made.
-
-    The child writes an 8-byte length and then the result in marshal's
-    binary format, which holds ints of any size without the decimal text
-    that Python's int-to-text digit limit could refuse.  It leaves by
-    os._exit in any case, so it never flushes stdio buffers it shares with
-    the parent or returns into the caller, and exits 0 only once everything
-    is written.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:  # pragma: no cover - the child
-        code = 1
-        try:
-            os.close(read_end)
-            payload = marshal.dumps(work(part))
-            data = memoryview(len(payload).to_bytes(8, "little") + payload)
-            while data:
-                data = data[os.write(write_end, data) :]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _map_parts(work: Callable[[Any], Any], parts: Sequence[Any]) -> list:
-    """[work(part) for part in parts], with the first part run here and every
-    other part in a forked child, all at once.
-
-    Each result must be a value marshal can write other than None, which
-    stands for a failed child.  Every child is reaped before this returns or
-    raises, and killed first when this is interrupted before all results are
-    in.  A part whose child could not be forked, exited nonzero or wrote
-    short is run here, so the results never depend on how many children
-    ran.  Until this returns, _split_bits gives one part, here and in every
-    child, so work nested in a part never forks.
-    """
-    global _in_parts
-    outer, _in_parts = _in_parts, True
-    try:
-        children = {}  # index of a part: (pid, read end) of its child
-        finished = False
-        try:
-            for index in range(1, len(parts)):
-                child = _fork_part(work, parts[index])
-                if child is not None:
-                    children[index] = child
-            results = [None if i in children else work(part) for i, part in enumerate(parts)]
-            sent = {}
-            for index, (_, read_end) in children.items():
-                with open(read_end, "rb", closefd=False) as pipe:
-                    sent[index] = pipe.read()
-            finished = True
-        finally:
-            for pid, read_end in children.values():
-                os.close(read_end)
-                if not finished:
-                    try:
-                        os.kill(pid, _SIGKILL)
-                    except ProcessLookupError:  # reaped already, see _reap
-                        pass
-            statuses = {index: _reap(pid) for index, (pid, _) in children.items()}
-        for index in children:
-            value = _child_result(sent[index], statuses[index])
-            results[index] = work(parts[index]) if value is None else value
-        return results
-    finally:
-        _in_parts = outer
-
-
-def _reap(pid: int) -> int:
-    """The wait status of child `pid` once it has exited, or 1 when the
-    system reaped it already, as it does while SIGCHLD is ignored; the
-    child's part is then run in the parent."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except ChildProcessError:
-        return 1
-
-
-def _child_result(data: bytes, status: int) -> Any:
-    """The result a _fork_part child sent as `data`, or None when its wait
-    status is not a clean exit or the bytes fall short of their length."""
-    if status != 0 or len(data) < 8 or int.from_bytes(data[:8], "little") != len(data) - 8:
-        return None
-    return marshal.loads(data[8:])
-
-
 def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     """Permanent by Glynn's formula over the admissible sign vectors:
 
@@ -318,13 +183,12 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
     to_bytes and one unpack, 2^(k-1) terms at a time.  Each step flips one
     d, so the two blocks trade parities at every step.
 
-    Fixing the d of the top m of the s high rows splits the walk into 2^m
-    parts of one Gray walk each over the rows below them, with 2^m at most
-    the CPUs and m at most (s - _SPLIT_MIN_STEPS) / 2, so that a part's
-    2^(s-m) steps are at least 2^_SPLIT_MIN_STEPS per part.  A part starts
-    from the blocks with its fixed flips applied, so an odd number of
-    flips swaps the parities.  _map_parts runs the parts in forked
-    children and the sum is the same integer at any m.
+    Fixing the d of the top m = (s - _SPLIT_MIN_STEPS) // 2 of the s high
+    rows cuts the walk into 2^m sub-walks over the rows below them, each of
+    2^(s-m) steps, at least 2^_SPLIT_MIN_STEPS per sub-walk.  A sub-walk
+    starts from the blocks with its fixed flips applied, so an odd number
+    of flips swaps the parities.  `parts.map_spans` runs spans of the
+    sub-walks in forked children; the sum is the same at any split.
     """
     n = len(rows)
     if n < 2:
@@ -382,8 +246,8 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
         return pos - neg
 
     steps = [-2 * row * reps for row in packed_rows[k + 1 :]]
-    m = _split_bits((len(steps) - _SPLIT_MIN_STEPS) // 2)
-    # part p fixes the d of the top m high rows, -1 where p has a 1 bit, and
+    m = max((len(steps) - _SPLIT_MIN_STEPS) // 2, 0)
+    # sub-walk p fixes the d of the top m high rows, -1 where p has a 1 bit, and
     # walks the rest: its start applies those flips, each swapping parities
     free = len(steps) - m
     starts = []
@@ -394,7 +258,8 @@ def _perm_glynn_int(rows: Sequence[Sequence[int]]) -> int:
                 start_even, start_odd = start_odd + step, start_even + step
         starts.append((start_even, start_odd))
     # the sum is a multiple of 2^(n-1), so the shift is exact at either sign
-    return sum(_map_parts(lambda start: walk(*start, steps[:free]), starts)) >> (n - 1)
+    walked = map_spans(lambda span: sum(walk(e, o, steps[:free]) for e, o in span), starts, 1)
+    return sum(walked) >> (n - 1)
 
 
 def _perm_poly_int(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -540,14 +405,10 @@ def determinant(a: Matrix) -> Fraction:
 def permanent(a: Matrix) -> Fraction:
     """Exact permanent by Glynn's formula: a sum of 2^(n-1) terms.
 
-    From n = 15 on, the terms are split into as many parts as the largest
-    power of two at most the CPUs this process may use, but no more than
-    leave each part 2^12 terms (2 parts up to n = 16, 4 up to 18, 8 up
-    to 20).  Each part but the first is summed in a forked child that is
-    reaped before this returns or raises.  The result does not depend on
-    the number of parts; the wall time divides by it, the CPU time does
-    not.  One part is used when os.fork is missing, another thread is
-    alive or this runs inside a part of a split.
+    From n = 15 on, spans of the terms are summed in forked children
+    (see `parts`), reaped before this returns or raises.  The result
+    does not depend on the number of spans; the wall time divides by it,
+    the CPU time does not.
     """
     a.require_square("permanent")
     return Fraction(_perm_glynn_int(a.nums), a.den ** a.rows)

@@ -6,13 +6,11 @@ seeded random sample for larger matrices.  Every outcome carries both
 sides of the asserted equality so a failure is diagnosable from the
 report alone.
 
-Each vector's checks stand alone, so `verify_matrix` splits the vectors
-into contiguous parts, as many as the largest power of two at most the
-CPUs the process may use that leaves each part at least
-_SPLIT_MIN_VECTORS vectors, and checks every part but the first in a
-forked child (`invariants._map_parts`).  The parts' outcomes merge in
-order into the report one walk over all the vectors gives, byte for
-byte; the checks on A alone run once, in the parent.
+Each vector's checks stand alone, so `verify_matrix` checks contiguous
+spans of at least _SPLIT_MIN_VECTORS vectors in forked children
+(`parts.map_spans`).  The spans' outcomes merge in order into the report
+one walk over all the vectors gives, byte for byte; the checks on A
+alone run once, in the parent.
 
 `_record_block_form` and `_factor_sides` state once how a block form is
 checked; `verify_matrix` and the `blockform` command both call them.
@@ -55,8 +53,6 @@ from .invariants import (
     DEFAULT_PERM_POLY_CAP,
     DEFAULT_PERMANENT_CAP,
     Polynomial,
-    _map_parts,
-    _split_bits,
     char_poly,
     determinant,
     perm_poly,
@@ -65,6 +61,7 @@ from .invariants import (
     trace,
 )
 from .orbit import DEFAULT_ENUMERATION_CAP, orbit_size
+from .parts import map_spans
 
 EXHAUSTIVE_MAX_N = 8
 # verify_matrix splits its sign vectors into parts of at least this many.
@@ -292,11 +289,12 @@ def verify_matrix(
         minor2_own = order2_minor_sum(a)
         perm2_own = order2_permanent_sum(a)
 
-    def check_span(span: tuple[int, int]) -> list[tuple]:
-        """The outcomes of the per-vector checks on vectors[start:stop], in
-        the order of each check's first use, as fields marshal can send."""
+    def check_span(span: range) -> list[tuple]:
+        """The outcomes of the per-vector checks on the vectors indexed by
+        `span`, in the order of each check's first use, as fields marshal
+        can send."""
         check = _Checks()
-        for idx in range(*span):
+        for idx in span:
             c = vectors[idx]
             label = f"c={c}"
             conj = sign_conjugate(a, c)
@@ -378,13 +376,10 @@ def verify_matrix(
                     )
         return [(out.name, out.passed, out.lhs, out.rhs, out.note) for out in check.values()]
 
-    # each vector's checks stand alone, so contiguous spans of the vectors
-    # run in forked parts; merged in span order, a check keeps its first
-    # failure, or else its first span's sides, as the walk over all would
-    parts = 1 << _split_bits((len(vectors) // _SPLIT_MIN_VECTORS).bit_length() - 1)
-    spans = [(len(vectors) * p // parts, len(vectors) * (p + 1) // parts) for p in range(parts)]
+    # merged in span order, a check keeps its first failure, or else its
+    # first span's sides, as the walk over all the vectors would
     check = _Checks()
-    for outcomes in _map_parts(check_span, spans):
+    for outcomes in map_spans(check_span, range(len(vectors)), _SPLIT_MIN_VECTORS):
         for fields in outcomes:
             seen = check.get(fields[0])
             if seen is None or (seen.passed and not fields[1]):

@@ -24,6 +24,7 @@ from signconj import (
     char_poly,
     determinant,
     invariants,
+    parts,
     perm_poly,
     permanent,
     rank,
@@ -936,14 +937,14 @@ def test_split_sends_part_sums_past_the_digit_limit():
     sys.set_int_max_str_digits(4300)
     try:
         with _forced_split(2) as (mp, forks):
-            child_result = invariants._child_result
+            child_result = parts._child_result
 
             def without_fallback(data, status):
                 value = child_result(data, status)
                 assert value is not None, "a child's part was run in the parent"
                 return value
 
-            mp.setattr(invariants, "_child_result", without_fallback)
+            mp.setattr(parts, "_child_result", without_fallback)
             value = _perm_glynn_int(rows)
     finally:
         sys.set_int_max_str_digits(limit)

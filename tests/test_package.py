@@ -1,7 +1,10 @@
-"""Package hygiene: the public names resolve, and no module imports a name
-it does not use."""
+"""Package hygiene: the public names resolve, no module imports a name
+it does not use, and start-up loads no module it can do without."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,13 @@ def test_scan_catches_a_stale_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_modules_that_slow_start_up():
+    # the fork helper in signconj.parts is hand-rolled and names SIGKILL as
+    # 9 so that starting the command loads none of these
+    heavy = ["signal", "multiprocessing", "concurrent.futures", "subprocess", "pickle"]
+    code = f"import signconj.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", b"[]\n")
